@@ -1,11 +1,12 @@
-"""PERF-BATCH: batched grid evaluation vs the per-point scalar loop.
+"""PERF-BATCH: batched grid evaluation vs the per-point singleton loop.
 
 Times the two ways of answering a ``(N, k)`` detection-probability grid
 on the paper's validation scenario:
 
-* **scalar** — one :class:`repro.core.markov_spatial.MarkovSpatialAnalysis`
-  per point, the pre-batching sweep cost (stage pmfs cache-assisted, the
-  convolution chain re-run per point);
+* **singleton** — one :class:`repro.core.markov_spatial.MarkovSpatialAnalysis`
+  per point: a 1-row view of the batched engine, so each ``N`` runs the
+  whole Eq. 12 chain on its own (regions and the per-``N`` distribution
+  cache-assisted, every ``k`` of that ``N`` a cache hit);
 * **batched** — one
   :class:`repro.core.batched.BatchedMarkovSpatialAnalysis` call for the
   whole grid (stacked stage pmfs, exponentiation-by-squaring body power,
@@ -13,8 +14,9 @@ on the paper's validation scenario:
 
 Both passes start from a cold analysis cache.  At the full grid
 (``REPRO_BENCH_GRID`` = 16, i.e. 256 points) the batched path must be
->= 10x faster and agree with the scalar loop to 1e-12 — the ISSUE 5
-acceptance gates, asserted here so the committed record can never drift
+>= 10x faster and agree with the singleton loop to 1e-12 (batch
+invariance makes them bitwise equal in practice) — the acceptance gates,
+asserted here so the committed record can never drift
 from a run that didn't meet them.
 
 Environment knobs:
@@ -37,8 +39,7 @@ from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.experiments.presets import onr_scenario
 from repro.experiments.records import ExperimentRecord
 
-#: Parity bound between the two paths (the batched kernel reassociates
-#: the body convolutions, so agreement is to rounding, not bitwise).
+#: Parity bound between the two paths.
 PARITY_ATOL = 1e-12
 
 #: Required speedup at the full 256-point grid.
@@ -69,14 +70,16 @@ def test_batched_grid_speedup(emit_record):
 
     clear_analysis_cache()
     start = time.perf_counter()
-    scalar = np.empty((len(num_sensors), len(thresholds)))
+    singleton = np.empty((len(num_sensors), len(thresholds)))
     for i, count in enumerate(num_sensors):
         analysis = MarkovSpatialAnalysis(
             scenario.replace(num_sensors=count), 3
         )
         for j, threshold in enumerate(thresholds):
-            scalar[i, j] = analysis.detection_probability(threshold=threshold)
-    scalar_seconds = time.perf_counter() - start
+            singleton[i, j] = analysis.detection_probability(
+                threshold=threshold
+            )
+    singleton_seconds = time.perf_counter() - start
 
     clear_analysis_cache()
     start = time.perf_counter()
@@ -87,22 +90,22 @@ def test_batched_grid_speedup(emit_record):
     )
     batched_seconds = time.perf_counter() - start
 
-    max_deviation = float(np.abs(batched - scalar).max())
-    speedup = scalar_seconds / batched_seconds
+    max_deviation = float(np.abs(batched - singleton).max())
+    speedup = singleton_seconds / batched_seconds
 
     assert max_deviation <= PARITY_ATOL, (
-        f"batched grid deviates from the scalar loop by {max_deviation:.3e}"
+        f"batched grid deviates from the singleton loop by {max_deviation:.3e}"
         f" (> {PARITY_ATOL})"
     )
     if points >= 256:
         assert speedup >= MIN_SPEEDUP, (
             f"batched evaluation of {points} points is only {speedup:.1f}x "
-            f"faster than the scalar loop (need >= {MIN_SPEEDUP}x)"
+            f"faster than the singleton loop (need >= {MIN_SPEEDUP}x)"
         )
 
     record = ExperimentRecord(
         experiment_id="PERF-BATCH",
-        title="Batched (N, k) grid evaluation vs per-point scalar loop",
+        title="Batched (N, k) grid evaluation vs per-point singleton loop",
         parameters={
             "grid_side": side,
             "points": points,
@@ -116,9 +119,9 @@ def test_batched_grid_speedup(emit_record):
         },
     )
     record.add_row(
-        path="scalar",
-        seconds=scalar_seconds,
-        per_point_ms=scalar_seconds / points * 1e3,
+        path="singleton",
+        seconds=singleton_seconds,
+        per_point_ms=singleton_seconds / points * 1e3,
         speedup=1.0,
         max_abs_deviation=0.0,
     )

@@ -14,8 +14,6 @@ quantity                  key fields
 ========================  ====================================================
 region areas (Eq. 6-10)   ``sensing_range``, ``step_length`` (= V * t)
 ``window_regions``        the above + the window-prefix length
-stage report pmfs         subarea bytes + ``field_area``, ``num_sensors``,
-                          ``detect_prob``, truncation, substeps
 batched report grids      ``sensing_range``, ``step_length``, ``window``,
                           ``field_area``, ``detect_prob``, truncations,
                           substeps, resolved kernel backend + the
@@ -83,7 +81,6 @@ __all__ = [
     "cached_array",
     "design_point_key",
     "grid_key",
-    "pmf_key",
     "region_geometry_key",
 ]
 
@@ -405,25 +402,6 @@ def region_geometry_key(scenario) -> Tuple[float, float]:
     ``M`` nor the field dimensions affect Eqs. 6/8/10.
     """
     return (float(scenario.sensing_range), float(scenario.step_length))
-
-
-def pmf_key(scenario, truncation: int, substeps: int, subareas) -> Tuple:
-    """Cache key for a stage report pmf.
-
-    Keyed by the subarea vector itself (the geometry, byte-exact) plus the
-    occupancy/detection parameters.  Field *area* — not width and height
-    separately — is what the occupancy binomial sees.
-    """
-    areas = np.ascontiguousarray(subareas, dtype=float)
-    return (
-        "stage_pmf",
-        areas.tobytes(),
-        float(scenario.field_area),
-        int(scenario.num_sensors),
-        float(scenario.detect_prob),
-        int(truncation),
-        int(substeps),
-    )
 
 
 def grid_key(

@@ -8,10 +8,12 @@ Public entry points:
   the ``M = 1`` preliminary case (Section 3.1).
 * :class:`~repro.core.spatial.SApproach` — the exact-but-expensive
   S-approach (Section 3.3).
-* :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` — the
-  M-S-approach, the paper's headline method (Section 3.4).
-* :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` — the same
-  model evaluated over whole ``(N, k)`` grids in stacked kernels.
+* :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` — the
+  M-S-approach, the paper's headline method (Section 3.4): the one
+  Eq. 12 engine, evaluated over whole ``(N, k)`` grids in stacked kernels.
+* :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` — the same
+  engine viewed at one scenario, with the stage pmfs and Eq. 7/9/14
+  accuracies.
 * :class:`~repro.core.exact_spatial.ExactSpatialAnalysis` — untruncated
   exact reference (our addition; see DESIGN.md).
 * :class:`~repro.core.multinode.MultiNodeAnalysis` — the ">= k reports from

@@ -1,11 +1,12 @@
-"""Batched M-S-approach evaluation: whole scenario grids in stacked kernels.
+"""Batched M-S-approach evaluation: the one Eq. 12 engine, over whole grids.
 
 The paper's closing claim is that the analytical model answers deployment
 sizing questions "without running extensive simulations" (Eqs. 12-13).
-:class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` makes one such
-answer cheap; this module makes a *grid* of them cheap.  For scenarios
-sharing their geometry (``Rs``, ``V * t``, ``M``) and detection physics
-(``Pd``, field area, truncations), the analysis factorises:
+This module is the only implementation of that chain; the per-point
+:class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` is a singleton
+view of it.  For scenarios sharing their geometry (``Rs``, ``V * t``,
+``M``) and detection physics (``Pd``, field area, truncations), the
+analysis factorises:
 
 * the region decomposition (Eqs. 6/8/10) and the *conditional* per-sensor
   report pmfs depend on neither ``N`` nor ``k`` — computed once per grid;
@@ -15,7 +16,7 @@ sharing their geometry (``Rs``, ``V * t``, ``M``) and detection physics
 * the Body stage's ``TB^(M-ms-1)`` power (Eq. 12) is applied by
   exponentiation-by-squaring on the convolution representation —
   ``O(log body_steps)`` stacked convolutions instead of ``O(body_steps)``
-  per-point ``np.convolve`` chains;
+  sequential ones;
 * every threshold ``k`` is answered from *one* survival function per
   scenario (a reverse cumulative sum), instead of one full pipeline per
   ``k``.
@@ -30,15 +31,14 @@ evaluations produce **bitwise identical** values row by row.
 dispatch paths must produce byte-identical checkpoint and record JSON.
 The convolutions themselves are dispatched through
 :mod:`repro.core.kernels` under a ``backend=`` seam (``reference`` |
-``fft`` | ``auto`` | ``numba``): every backend computes rows
-independently, so batch invariance holds under all of them, but only
-``reference`` (and the jitted ``numba`` mirror of it) is bitwise-stable
-across releases — the FFT path re-associates the sums and agrees with the
-reference to its guarded round-off bound (< 1e-13 per call) instead.
-Against the scalar :class:`MarkovSpatialAnalysis` the convolution
-*association* differs under every backend (squaring vs sequential), so
-agreement there is to rounding error —
-``tests/property/test_prop_batched.py`` pins the deviation at 1e-12.
+``fft`` | ``auto``): every backend computes rows independently, so batch
+invariance holds under all of them, but only ``reference`` is
+bitwise-stable across releases — the FFT path re-associates the sums and
+agrees with the reference to its guarded round-off bound (< 1e-13 per
+call) instead.  Against the literal Eq. 12 matrix product
+(:mod:`repro.markov.oracle`, sequential ``math.lgamma`` stage pmfs) the
+agreement is to rounding error — ``tests/property/test_prop_batched.py``
+pins the deviation at 1e-12.
 
 The per-``N`` report-count distributions are memoized in
 :func:`repro.cache.analysis_cache` under :func:`repro.cache.grid_key`
@@ -87,8 +87,9 @@ def batched_binomial_pmf(
     composed with :func:`~repro.core.report_dist.binomial_pmf`: row ``b``
     holds ``P[X = c]`` for ``c = 0 .. max_count`` with ``X ~
     Binomial(trials[b], p)`` (entries with ``c > trials[b]`` are zero).
-    Evaluated with vectorised log-gamma, matching the scalar path's
-    log-space formula elementwise.
+    Evaluated with vectorised log-gamma, matching
+    :func:`~repro.core.report_dist.binomial_pmf`'s log-space formula
+    elementwise.
 
     Args:
         trials: integer array of trial counts (``N`` values), each >= 0.
@@ -157,10 +158,9 @@ class BatchedMarkovSpatialAnalysis:
     The template ``scenario`` supplies the geometry (``Rs``, ``V``, ``t``,
     ``M``), the detection physics (``Pd``, field), and the *default*
     ``N``/``k`` when an axis is omitted; the grid methods broadcast over
-    explicit ``num_sensors`` and ``thresholds`` axes.  Construction
-    mirrors :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`
-    (same truncations, same ``substeps`` refinement, same ``M > ms``
-    requirement) and the results match it point-by-point to 1e-12.
+    explicit ``num_sensors`` and ``thresholds`` axes.  Requires
+    ``M > ms``; ``substeps`` is Section 3.4.5's NEDR-slicing refinement
+    (see :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`).
 
     ``backend`` selects the convolution kernel (see
     :mod:`repro.core.kernels`): ``None`` (the default) defers to the
@@ -243,8 +243,7 @@ class BatchedMarkovSpatialAnalysis:
     ) -> np.ndarray:
         """``(B, L)`` stage pmfs for one NEDR, one row per ``N``.
 
-        Row ``b`` equals the scalar
-        :func:`repro.core.report_dist.stage_report_pmf` for
+        Row ``b`` is :func:`repro.core.report_dist.stage_report_pmf` for
         ``num_sensors = counts[b]``: the conditional per-sensor pmf and
         its ``n``-fold convolutions are shared across rows (they do not
         depend on ``N``); only the occupancy binomial mixing weights vary.
@@ -274,7 +273,16 @@ class BatchedMarkovSpatialAnalysis:
         counts: np.ndarray,
         backend: str,
     ) -> np.ndarray:
-        """Stage pmf stack, sliced ``substeps`` ways like the scalar path."""
+        """Stage pmf stack, optionally assembled from equal-probability slices.
+
+        With ``substeps = Q > 1`` the NEDR is cut into ``Q`` slices of
+        area ``area / Q`` each (a uniform sensor is in a given slice with
+        probability ``area / (Q * S)``, independently per the model's
+        occupancy approximation); the stage pmf is the Q-fold convolution
+        of per-slice pmfs truncated at the same ``g`` — capturing up to
+        ``Q * g`` sensors per NEDR for the price of the small per-slice
+        enumeration.
+        """
         if self._substeps == 1:
             return self._assembled_stage_pmf(subareas, truncation, counts)
         slice_pmf = self._assembled_stage_pmf(
@@ -379,9 +387,9 @@ class BatchedMarkovSpatialAnalysis:
 
         Returns:
             Array of shape ``(len(num_sensors), len(thresholds))``; entry
-            ``[i, j]`` equals the scalar
+            ``[i, j]`` is bitwise equal to
             ``MarkovSpatialAnalysis(scenario.replace(num_sensors=N_i))
-            .detection_probability(threshold=k_j)`` to 1e-12.
+            .detection_probability(threshold=k_j)``.
 
         Raises:
             AnalysisError: on invalid axis values, or — with
@@ -408,9 +416,15 @@ class BatchedMarkovSpatialAnalysis:
         total = distributions.sum(axis=1)
         empty = np.flatnonzero(total <= 0.0)
         if empty.size:
+            # The template's own N (no explicit axis) is named as a scalar.
+            offending = (
+                counts[empty].tolist()
+                if num_sensors is not None
+                else self._scenario.num_sensors
+            )
             raise AnalysisError(
                 "captured probability mass is zero for num_sensors="
-                f"{counts[empty].tolist()}: body_truncation g={self._g}, "
+                f"{offending}: body_truncation g={self._g}, "
                 f"head_truncation gh={self._gh} (substeps="
                 f"{self._substeps}) admit no sensor configuration across "
                 f"the {self._scenario.window} stages; increase the "

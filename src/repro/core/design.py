@@ -73,9 +73,8 @@ def detection_probability(
     """Model detection probability for a scenario (M-S-approach, Eq. 13).
 
     Evaluated on the batched kernel (singleton grid), so design-layer
-    numbers are bitwise consistent with sweep rows; agreement with the
-    scalar :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` is
-    to 1e-12.
+    numbers are bitwise consistent with sweep rows and with
+    :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`.
     """
     return BatchedMarkovSpatialAnalysis(
         scenario, body_truncation=truncation, backend=backend

@@ -24,28 +24,19 @@ seam that selects *how* they run:
     Size-dispatched: shift-and-add below :data:`FFT_MIN_WIDTH` (small
     supports stay bitwise-stable *and* are faster that way), FFT above
     it.  The process-wide default.
-``numba``
-    A JIT-compiled shift-and-add with the same fixed reduction order —
-    bitwise identical to ``reference`` — for hosts with ``numba``
-    installed.  When numba is absent (or ``REPRO_DISABLE_NUMBA`` is
-    set) selecting it degrades gracefully to ``auto`` with a one-time
-    warning instead of failing.
 
 The process-wide default backend (:func:`set_default_backend`, surfaced
 as the CLI's ``--backend``) is what
 :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` uses when
 constructed without an explicit ``backend=``.  Dispatch decisions are
 counted into the active instrumentation: ``kernel.fft_dispatch`` (calls
-routed to the FFT), ``kernel.fallbacks`` (guard-triggered reference
-fallbacks), ``kernel.numba_unavailable`` (degraded ``numba``
-selections) — see ``docs/observability.md``.
+routed to the FFT) and ``kernel.fallbacks`` (guard-triggered reference
+fallbacks) — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -58,20 +49,18 @@ __all__ = [
     "FFT_GUARD_ATOL",
     "FFT_MIN_WIDTH",
     "KERNEL_BACKENDS",
-    "available_backends",
     "batch_convolve",
     "batch_convolve_power",
     "fft_roundoff_bound",
     "get_default_backend",
     "normalize_backend",
-    "numba_available",
     "resolve_backend",
     "set_default_backend",
 ]
 
 #: Every selectable backend name.  ``auto`` and ``fft`` are dispatch
-#: policies over the two real kernels; ``numba`` is optional.
-KERNEL_BACKENDS = ("auto", "reference", "fft", "numba")
+#: policies over the two real kernels.
+KERNEL_BACKENDS = ("auto", "reference", "fft")
 
 #: The process-wide default policy.
 DEFAULT_BACKEND = "auto"
@@ -92,10 +81,6 @@ FFT_MIN_WIDTH = 64
 FFT_GUARD_ATOL = 1e-13
 
 _default_backend = DEFAULT_BACKEND
-
-_numba_kernel = None
-_numba_checked = False
-_numba_warned = False
 
 
 def normalize_backend(backend: Optional[str]) -> Optional[str]:
@@ -130,70 +115,10 @@ def get_default_backend() -> str:
     return _default_backend
 
 
-def numba_available() -> bool:
-    """Whether the optional numba backend can compile.
-
-    ``REPRO_DISABLE_NUMBA`` (any non-empty value) forces ``False`` — the
-    switch CI uses to prove the degraded path on hosts that *do* have
-    numba.  The import check runs once per process.
-    """
-    global _numba_checked, _numba_kernel
-    if os.environ.get("REPRO_DISABLE_NUMBA"):
-        return False
-    if not _numba_checked:
-        _numba_checked = True
-        try:  # pragma: no cover - exercised only where numba is installed
-            import numba
-
-            @numba.njit(cache=False)
-            def _shift_add(a, b, out):  # pragma: no cover
-                rows, width = a.shape
-                short = b.shape[1]
-                for row in range(rows):
-                    for shift in range(short):
-                        scale = b[row, shift]
-                        for i in range(width):
-                            out[row, shift + i] += a[row, i] * scale
-
-            _numba_kernel = _shift_add
-        except ImportError:
-            _numba_kernel = None
-    return _numba_kernel is not None
-
-
-def available_backends() -> tuple:
-    """The backends selectable on this host (``numba`` only if importable)."""
-    names = [name for name in KERNEL_BACKENDS if name != "numba"]
-    if numba_available():
-        names.append("numba")
-    return tuple(names)
-
-
 def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a request to a concrete policy for this call.
-
-    ``None`` resolves to the process default; ``numba`` degrades to
-    ``auto`` (one warning per process, ``kernel.numba_unavailable``
-    counted) when numba cannot be imported.
-    """
-    global _numba_warned
+    """Resolve a request to a concrete policy: ``None`` is the process default."""
     choice = normalize_backend(backend)
-    if choice is None:
-        choice = _default_backend
-    if choice == "numba" and not numba_available():
-        ob = obs.current()
-        if ob.enabled:
-            ob.incr("kernel.numba_unavailable")
-        if not _numba_warned:
-            _numba_warned = True
-            warnings.warn(
-                "kernel backend 'numba' requested but numba is not "
-                "importable; degrading to 'auto'",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return "auto"
-    return choice
+    return _default_backend if choice is None else choice
 
 
 def _validated_stacks(a, b):
@@ -221,15 +146,6 @@ def _convolve_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for shift in range(b.shape[1]):
         out[:, shift : shift + width] += a * b[:, shift : shift + 1]
     return out
-
-
-def _convolve_numba(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """JIT shift-and-add with the reference's exact accumulation order."""
-    out = np.zeros((a.shape[0], a.shape[1] + b.shape[1] - 1))
-    _numba_kernel(
-        np.ascontiguousarray(a), np.ascontiguousarray(b), out
-    )  # pragma: no cover - requires numba
-    return out  # pragma: no cover - requires numba
 
 
 def fft_roundoff_bound(a: np.ndarray, b: np.ndarray) -> float:
@@ -273,9 +189,9 @@ def batch_convolve(
 
     Both inputs are ``(B, *)`` stacks; the result is ``(B, a_len + b_len
     - 1)``.  Every backend computes each row independently, so the result
-    is batch-invariant under all of them; only ``reference`` (and
-    ``numba``) guarantee *bitwise* agreement with each other, while the
-    FFT path agrees to the :func:`fft_roundoff_bound` guard.
+    is batch-invariant under all of them; only ``reference`` is
+    bitwise-stable, while the FFT path agrees with it to the
+    :func:`fft_roundoff_bound` guard.
 
     Args:
         a / b: the operand stacks (equal row counts).
@@ -289,8 +205,6 @@ def batch_convolve(
     choice = resolve_backend(backend)
     if choice == "reference":
         return _convolve_reference(a, b)
-    if choice == "numba":
-        return _convolve_numba(a, b)
     if choice == "auto" and b.shape[1] < FFT_MIN_WIDTH:
         return _convolve_reference(a, b)
     ob = obs.current()

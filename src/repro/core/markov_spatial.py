@@ -13,30 +13,32 @@ that NEDR, and a counting Markov chain accumulates the total:
   ``AreaT_j(i)`` (Eq. 10), one distinct matrix per step.
 
 ``Result = u * TH * TB^(M-ms-1) * prod_j TT_j`` (Eq. 12), and the detection
-probability normalises by the captured mass (Eq. 13).  Because every
-transition matrix is a pure counting shift, the same result is obtained by
-convolving the per-stage pmfs; both engines are implemented
-(``method='matrix'`` / ``method='convolution'``) and tested to agree.
+probability normalises by the captured mass (Eq. 13).  Every transition
+matrix is a pure counting shift, so the chain is a sequence of pmf
+convolutions; :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis`
+runs it for a whole ``N`` axis at once, and :class:`MarkovSpatialAnalysis`
+is that engine viewed at the scenario's own ``N``.  The literal matrix
+product is kept only as an independent test oracle
+(:mod:`repro.markov.oracle`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
-from repro.cache import cached_array, pmf_key
+from repro.core.batched import BatchedMarkovSpatialAnalysis
+from repro.core.kernels import resolve_backend
 from repro.core.regions import body_subareas, head_subareas, tail_subareas
-from repro.core.report_dist import stage_report_pmf
-from repro.core.scenario import Scenario
-from repro.errors import AnalysisError
-from repro.markov.counting import counting_transition_matrix
 
 __all__ = ["MarkovSpatialAnalysis"]
 
 
-class MarkovSpatialAnalysis:
-    """M-S-approach analysis of ``P_M[X >= k]``.
+class MarkovSpatialAnalysis(BatchedMarkovSpatialAnalysis):
+    """M-S-approach analysis of ``P_M[X >= k]`` at the scenario's own ``N``.
+
+    A singleton view of :class:`BatchedMarkovSpatialAnalysis`: every value
+    is row 0 of the batched stacks, so :meth:`detection_probability` is
+    bitwise equal to the matching ``detection_probability_grid`` cell.
 
     Args:
         scenario: the model parameters; requires ``M > ms`` (the general
@@ -50,128 +52,34 @@ class MarkovSpatialAnalysis:
             sketches ("further dividing the computation in that step into
             multiple substeps") to reach a given accuracy with a smaller
             per-slice truncation.  1 (default) is the paper's base method.
+        backend: convolution kernel, as on
+            :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis`.
 
     Raises:
         AnalysisError: on invalid truncations, ``substeps < 1``, or
             ``M <= ms``.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        body_truncation: int = 3,
-        head_truncation: Optional[int] = None,
-        substeps: int = 1,
-    ):
-        if body_truncation < 1:
-            raise AnalysisError(
-                f"body_truncation must be >= 1, got {body_truncation}"
-            )
-        head_truncation = (
-            body_truncation if head_truncation is None else head_truncation
-        )
-        if head_truncation < 1:
-            raise AnalysisError(
-                f"head_truncation must be >= 1, got {head_truncation}"
-            )
-        if substeps < 1:
-            raise AnalysisError(f"substeps must be >= 1, got {substeps}")
-        if not scenario.has_body_stage:
-            raise AnalysisError(
-                f"the M-S-approach stage decomposition requires M > ms "
-                f"(M={scenario.window}, ms={scenario.ms}); use "
-                "ExactSpatialAnalysis, whose window_regions generalisation "
-                "handles short windows"
-            )
-        self._scenario = scenario
-        self._g = body_truncation
-        self._gh = head_truncation
-        self._substeps = substeps
-
-    # ------------------------------------------------------------------
-    # Parameters
-    # ------------------------------------------------------------------
-
-    @property
-    def scenario(self) -> Scenario:
-        """The analysed scenario."""
-        return self._scenario
-
-    @property
-    def body_truncation(self) -> int:
-        """``g``."""
-        return self._g
-
-    @property
-    def head_truncation(self) -> int:
-        """``gh``."""
-        return self._gh
-
-    @property
-    def substeps(self) -> int:
-        """NEDR slices per stage (Section 3.4.5's refinement)."""
-        return self._substeps
-
     # ------------------------------------------------------------------
     # Stage report distributions
     # ------------------------------------------------------------------
 
-    def _stage_pmf(self, subareas: np.ndarray, truncation: int) -> np.ndarray:
-        """Stage pmf, optionally assembled from equal-probability slices.
-
-        With ``substeps = Q > 1`` the NEDR is cut into ``Q`` slices of
-        area ``area / Q`` each (a uniform sensor is in a given slice with
-        probability ``area / (Q * S)``, independently per the model's
-        occupancy approximation); the stage pmf is the Q-fold convolution
-        of per-slice pmfs truncated at the same ``g`` — capturing up to
-        ``Q * g`` sensors per NEDR for the price of the small per-slice
-        enumeration.
-        """
-        if self._substeps == 1:
-            return stage_report_pmf(
-                subareas,
-                self._scenario.field_area,
-                self._scenario.num_sensors,
-                self._scenario.detect_prob,
-                truncation,
-            )
-        slice_pmf = stage_report_pmf(
-            np.asarray(subareas, dtype=float) / self._substeps,
-            self._scenario.field_area,
-            self._scenario.num_sensors,
-            self._scenario.detect_prob,
-            truncation,
-        )
-        combined = slice_pmf
-        for _ in range(self._substeps - 1):
-            combined = np.convolve(combined, slice_pmf)
-        return combined
-
-    def _cached_stage_pmf(
-        self, subareas: np.ndarray, truncation: int
-    ) -> np.ndarray:
-        """Memoized :meth:`_stage_pmf` (see :mod:`repro.cache`).
-
-        The key carries the subarea vector byte-exact plus every occupancy
-        parameter, and deliberately excludes the threshold ``k`` — a
-        ``k``-sweep reuses all stage pmfs.  Cached pmfs are read-only.
-        """
-        return cached_array(
-            pmf_key(self._scenario, truncation, self._substeps, subareas),
-            lambda: self._stage_pmf(subareas, truncation),
-        )
+    def _stage_row(self, subareas: np.ndarray, truncation: int) -> np.ndarray:
+        counts = np.asarray([self._scenario.num_sensors])
+        backend = resolve_backend(self._backend)
+        return self._batched_stage_pmf(subareas, truncation, counts, backend)[0]
 
     def head_stage_pmf(self) -> np.ndarray:
         """``p_{h:m}``: report pmf of the Head NEDR (substochastic)."""
-        return self._cached_stage_pmf(head_subareas(self._scenario), self._gh)
+        return self._stage_row(head_subareas(self._scenario), self._gh)
 
     def body_stage_pmf(self) -> np.ndarray:
         """``p_{b:m}``: report pmf of one Body NEDR (substochastic)."""
-        return self._cached_stage_pmf(body_subareas(self._scenario), self._g)
+        return self._stage_row(body_subareas(self._scenario), self._g)
 
     def tail_stage_pmf(self, tail_index: int) -> np.ndarray:
         """``p_{tj:m}``: report pmf of Tail NEDR ``T_j`` (substochastic)."""
-        return self._cached_stage_pmf(
+        return self._stage_row(
             tail_subareas(self._scenario, tail_index), self._g
         )
 
@@ -201,88 +109,10 @@ class MarkovSpatialAnalysis:
     # Result distribution (Eq. 12)
     # ------------------------------------------------------------------
 
-    def num_states(self) -> int:
-        """``M * Z + 1`` with ``Z = (ms + 1) * gh`` (Fig. 5 discussion).
-
-        With ``substeps = Q``, each stage can register up to ``Q`` times
-        as many sensors, scaling ``Z`` accordingly.
-        """
-        z = (self._scenario.ms + 1) * max(self._gh, self._g) * self._substeps
-        return self._scenario.window * z + 1
-
-    def transition_matrices(self) -> List[np.ndarray]:
-        """``[TH, TB, TT_1, ..., TT_ms]`` as dense counting matrices."""
-        states = self.num_states()
-        matrices = [counting_transition_matrix(self.head_stage_pmf(), states)]
-        matrices.append(counting_transition_matrix(self.body_stage_pmf(), states))
-        for j in range(1, self._scenario.ms + 1):
-            matrices.append(
-                counting_transition_matrix(self.tail_stage_pmf(j), states)
-            )
-        return matrices
-
-    def report_count_distribution(self, method: str = "convolution") -> np.ndarray:
+    def report_count_distribution(self) -> np.ndarray:
         """The (substochastic) pmf of the total report count after ``M`` periods.
 
-        Args:
-            method: ``'convolution'`` (fast; convolves stage pmfs) or
-                ``'matrix'`` (literal Eq. 12 matrix product).  Both produce
-                identical distributions; the matrix form pads with trailing
-                zeros up to ``num_states()`` entries.
-
-        Raises:
-            AnalysisError: for an unknown ``method``.
+        Row 0 of :meth:`report_count_distributions` — cached and
+        read-only (copy before mutating).
         """
-        if method == "convolution":
-            result = self.head_stage_pmf()
-            body = self.body_stage_pmf()
-            for _ in range(self._scenario.body_steps):
-                result = np.convolve(result, body)
-            for j in range(1, self._scenario.ms + 1):
-                result = np.convolve(result, self.tail_stage_pmf(j))
-            return result
-        if method == "matrix":
-            matrices = self.transition_matrices()
-            head, body, tails = matrices[0], matrices[1], matrices[2:]
-            distribution = np.zeros(self.num_states())
-            distribution[0] = 1.0  # u = [1 0 0 ... 0] (Eq. 11)
-            distribution = distribution @ head
-            for _ in range(self._scenario.body_steps):
-                distribution = distribution @ body
-            for tail in tails:
-                distribution = distribution @ tail
-            return distribution
-        raise AnalysisError(f"unknown method {method!r}; use 'convolution' or 'matrix'")
-
-    def detection_probability(
-        self,
-        threshold: Optional[int] = None,
-        normalize: bool = True,
-        method: str = "convolution",
-    ) -> float:
-        """``P_M[X >= k]`` (Eq. 13).
-
-        Args:
-            threshold: ``k``; defaults to the scenario's threshold.
-            normalize: divide the tail mass by the captured total mass
-                (``sum`` in Eq. 13).  ``False`` reproduces Fig. 9(b).
-            method: see :meth:`report_count_distribution`.
-        """
-        k = self._scenario.threshold if threshold is None else threshold
-        if k < 0:
-            raise AnalysisError(f"threshold must be non-negative, got {k}")
-        distribution = self.report_count_distribution(method=method)
-        tail = float(distribution[k:].sum()) if k < distribution.size else 0.0
-        if not normalize:
-            return tail
-        total = float(distribution.sum())
-        if total <= 0.0:
-            raise AnalysisError(
-                "captured probability mass is zero for num_sensors="
-                f"{self._scenario.num_sensors}: body_truncation "
-                f"g={self._g}, head_truncation gh={self._gh} (substeps="
-                f"{self._substeps}) admit no sensor configuration across "
-                f"the {self._scenario.window} stages; increase the "
-                "truncations"
-            )
-        return tail / total
+        return self.report_count_distributions()[0]

@@ -28,12 +28,40 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.deployment.field import SensorField
 from repro.errors import ScenarioError
 
 __all__ = ["Scenario"]
+
+_COUNT_FIELDS = ("num_sensors", "window", "threshold")
+_REAL_FIELDS = ("sensing_range", "target_speed", "sensing_period", "detect_prob")
+
+
+def _require_count(name: str, value) -> None:
+    """Counts are exact integers: bools and non-integral numbers fail."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ScenarioError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a finite float; bools, strings, NaN and inf fail."""
+    try:
+        if isinstance(value, bool) or not math.isfinite(value):
+            raise TypeError
+    except (TypeError, OverflowError):
+        raise ScenarioError(
+            f"{name} must be a finite number, got {value!r}"
+        ) from None
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -56,6 +84,10 @@ class Scenario:
     threshold: int
 
     def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            _require_count(name, getattr(self, name))
+        for name in _REAL_FIELDS:
+            _real(name, getattr(self, name))
         if self.num_sensors < 1:
             raise ScenarioError(f"num_sensors must be >= 1, got {self.num_sensors}")
         if self.sensing_range <= 0:
@@ -172,22 +204,21 @@ class Scenario:
     def from_dict(cls, data: dict) -> "Scenario":
         """Inverse of :meth:`to_dict`.
 
+        Counts must be integers and the other fields finite numbers;
+        nothing is rounded or parsed from strings.
+
         Raises:
             ScenarioError: on missing keys or invalid values.
         """
         try:
             field = SensorField(
-                float(data["field_width"]), float(data["field_height"])
+                _real("field_width", data["field_width"]),
+                _real("field_height", data["field_height"]),
             )
             return cls(
                 field=field,
-                num_sensors=int(data["num_sensors"]),
-                sensing_range=float(data["sensing_range"]),
-                target_speed=float(data["target_speed"]),
-                sensing_period=float(data["sensing_period"]),
-                detect_prob=float(data["detect_prob"]),
-                window=int(data["window"]),
-                threshold=int(data["threshold"]),
+                **{name: data[name] for name in _COUNT_FIELDS},
+                **{name: _real(name, data[name]) for name in _REAL_FIELDS},
             )
         except KeyError as exc:
             raise ScenarioError(f"missing scenario field {exc.args[0]!r}") from exc

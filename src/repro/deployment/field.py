@@ -9,6 +9,7 @@ displacement operations; the simulator picks one per its boundary mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,10 @@ class SensorField:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise GeometryError(
-                f"field dimensions must be positive, got {self.width} x {self.height}"
+                "field dimensions must be positive and finite, got "
+                f"{self.width} x {self.height}"
             )
 
     @classmethod

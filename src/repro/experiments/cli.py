@@ -454,12 +454,11 @@ def _shared_options(suppress_defaults: bool = False) -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--backend",
-        choices=("auto", "reference", "fft", "numba"),
+        choices=("auto", "reference", "fft"),
         default=default("auto"),
         help="convolution kernel backend for the analytical engine "
         "(default: auto — FFT for large supports, exact shift-and-add "
-        "otherwise; 'reference' is bitwise-stable across releases; "
-        "'numba' degrades to auto when numba is not installed)",
+        "otherwise; 'reference' is bitwise-stable across releases)",
     )
     return parent
 

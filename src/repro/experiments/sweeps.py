@@ -379,12 +379,10 @@ def _analytical_point(
 ) -> Dict[str, Any]:
     """One analytical sweep row, evaluated on the batched kernel.
 
-    Module-level (hence picklable for ``workers > 1``).  Uses the batched
-    engine on singleton axes rather than the scalar
-    ``MarkovSpatialAnalysis`` so that per-point rows are **bitwise** equal
-    to the corresponding batched-grid rows (the kernel is
-    batch-invariant; the scalar engine associates its convolutions
-    differently and agrees only to 1e-12).
+    Module-level (hence picklable for ``workers > 1``).  Evaluates a
+    singleton axis of the batched engine, so per-point rows are
+    **bitwise** equal to the corresponding batched-grid rows (the kernel
+    is batch-invariant).
     """
     from repro.core.batched import BatchedMarkovSpatialAnalysis
 

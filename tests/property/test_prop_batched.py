@@ -1,18 +1,19 @@
-"""Property-based tests pinning the batched engine to the scalar one.
+"""Property-based tests pinning the batched engine to the Eq. 12 oracle.
 
 The contracts the sweep/design/service layers rely on:
 
 * **1e-12 parity** — every entry of a batched ``(N, k)`` grid matches the
-  scalar :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`
-  evaluated at that point (the kernels associate their convolutions
-  differently, so the agreement is to rounding, not bitwise);
-* **batch invariance** — a singleton evaluation is *bitwise* equal to
-  the corresponding grid row (this is what makes the sweep layer's
-  batched and per-point dispatch paths byte-identical);
+  literal Eq. 12 matrix product (:mod:`repro.markov.oracle`: sequential
+  ``math.lgamma`` stage pmfs, dense counting matrices) evaluated at that
+  point — agreement to rounding, since the two associate their sums
+  differently;
+* **batch invariance** — a singleton evaluation, including the
+  :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis` view, is
+  *bitwise* equal to the corresponding grid row (this is what makes the
+  sweep layer's batched and per-point dispatch paths byte-identical);
 * **survival monotonicity** — ``P_M[X >= k]`` is non-increasing in ``k``;
-* **convolution-vs-matrix parity**, lifted from the single fixture
-  assert in ``tests/unit/test_markov_spatial.py`` into a sampled
-  property, and extended to the batched distribution stack.
+* **distribution parity** with the matrix oracle, sampled over scenarios,
+  truncations and substeps.
 """
 
 import math
@@ -25,6 +26,10 @@ from repro.core.batched import BatchedMarkovSpatialAnalysis
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.deployment.field import SensorField
+from repro.markov.oracle import (
+    distribution_gap,
+    matrix_report_count_distribution,
+)
 
 PARITY_ATOL = 1e-12
 
@@ -89,16 +94,16 @@ class TestBatchedScalarParity:
             num_sensors=num_sensors, thresholds=thresholds, normalize=normalize
         )
         for i, count in enumerate(num_sensors):
-            scalar = MarkovSpatialAnalysis(
+            oracle = matrix_report_count_distribution(
                 scenario.replace(num_sensors=count),
-                body_truncation=body_truncation,
-                head_truncation=head_truncation,
-                substeps=substeps,
+                body_truncation,
+                head_truncation,
+                substeps,
             )
             for j, threshold in enumerate(thresholds):
-                reference = scalar.detection_probability(
-                    threshold=threshold, normalize=normalize
-                )
+                reference = float(oracle[threshold:].sum())
+                if normalize:
+                    reference /= float(oracle.sum())
                 assert abs(grid[i, j] - reference) <= PARITY_ATOL
 
     @given(scenario=scenario_strategy(), axes=axes_strategy())
@@ -112,10 +117,14 @@ class TestBatchedScalarParity:
             num_sensors=num_sensors, thresholds=thresholds
         )
         for i, count in enumerate(num_sensors):
+            point = scenario.replace(num_sensors=count)
             singleton = BatchedMarkovSpatialAnalysis(
-                scenario.replace(num_sensors=count)
+                point
             ).detection_probability_grid(thresholds=thresholds)
             assert (singleton[0] == grid[i]).all()
+            view = MarkovSpatialAnalysis(point)
+            for j, threshold in enumerate(thresholds):
+                assert view.detection_probability(threshold) == grid[i, j]
 
 
 class TestSurvivalMonotonicity:
@@ -138,31 +147,47 @@ class TestSurvivalMonotonicity:
 
 
 class TestMethodParity:
-    @given(scenario=scenario_strategy(), body_truncation=st.integers(1, 3))
+    @given(
+        scenario=scenario_strategy(),
+        body_truncation=st.integers(1, 3),
+        head_truncation=st.one_of(st.none(), st.integers(1, 3)),
+        substeps=st.integers(1, 2),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_convolution_matches_matrix(self, scenario, body_truncation):
-        """The unit suite's single fixture assert, sampled over scenarios."""
+    def test_convolution_matches_matrix(
+        self, scenario, body_truncation, head_truncation, substeps
+    ):
+        """The unit suite's fixture check, sampled over scenarios."""
         analysis = MarkovSpatialAnalysis(
-            scenario, body_truncation=body_truncation
+            scenario,
+            body_truncation=body_truncation,
+            head_truncation=head_truncation,
+            substeps=substeps,
         )
-        convolution = analysis.report_count_distribution("convolution")
-        matrix = analysis.report_count_distribution("matrix")
-        np.testing.assert_allclose(
-            convolution, matrix[: convolution.size], atol=1e-12
+        gap = distribution_gap(
+            analysis.report_count_distribution(),
+            scenario,
+            body_truncation,
+            head_truncation,
+            substeps,
         )
-        assert abs(matrix[convolution.size :].sum()) <= 1e-15
+        assert gap <= PARITY_ATOL
 
-    @given(scenario=scenario_strategy(), body_truncation=st.integers(1, 3))
+    @given(
+        scenario=scenario_strategy(),
+        body_truncation=st.integers(1, 3),
+        counts=st.lists(st.integers(1, 80), min_size=1, max_size=3),
+    )
     @settings(max_examples=25, deadline=None)
     def test_batched_distribution_matches_matrix(
-        self, scenario, body_truncation
+        self, scenario, body_truncation, counts
     ):
-        """Eq. 12 parity extended to the batched stack: each row of
-        ``report_count_distributions`` is the matrix-engine result."""
-        row = BatchedMarkovSpatialAnalysis(
+        """Eq. 12 parity for every row of a multi-``N`` stack."""
+        stack = BatchedMarkovSpatialAnalysis(
             scenario, body_truncation=body_truncation
-        ).report_count_distributions()[0]
-        matrix = MarkovSpatialAnalysis(
-            scenario, body_truncation=body_truncation
-        ).report_count_distribution("matrix")
-        np.testing.assert_allclose(row, matrix[: row.size], atol=1e-12)
+        ).report_count_distributions(counts)
+        for row, count in zip(stack, counts):
+            gap = distribution_gap(
+                row, scenario.replace(num_sensors=count), body_truncation
+            )
+            assert gap <= PARITY_ATOL

@@ -15,6 +15,7 @@ from repro.core.batched import (
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.report_dist import binomial_pmf, convolution_power
 from repro.errors import AnalysisError
+from repro.markov.oracle import matrix_detection_probability
 
 
 class TestHelpers:
@@ -109,9 +110,10 @@ class TestGridEvaluation:
         engine = BatchedMarkovSpatialAnalysis(small)
         grid = engine.detection_probability_grid()
         assert grid.shape == (1, 1)
-        scalar = MarkovSpatialAnalysis(small).detection_probability()
-        assert grid[0, 0] == pytest.approx(scalar, abs=1e-12)
+        oracle = matrix_detection_probability(small)
+        assert grid[0, 0] == pytest.approx(oracle, abs=1e-12)
         assert engine.detection_probability() == grid[0, 0]
+        assert MarkovSpatialAnalysis(small).detection_probability() == grid[0, 0]
 
     def test_axis_validation(self, small):
         engine = BatchedMarkovSpatialAnalysis(small)

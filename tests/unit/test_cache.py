@@ -8,7 +8,7 @@ from repro.cache import (
     analysis_cache,
     cached_array,
     clear_analysis_cache,
-    pmf_key,
+    grid_key,
     region_geometry_key,
 )
 from repro.core.markov_spatial import MarkovSpatialAnalysis
@@ -176,25 +176,22 @@ class TestCacheKeys:
             onr_scenario(num_sensors=120, speed=10.0, sensing_range=900.0)
         )
 
-    def test_pmf_key_tracks_occupancy_fields(self):
+    def test_grid_key_tracks_occupancy_fields(self):
         base = onr_scenario(num_sensors=120, speed=10.0)
-        areas = np.arange(3.0)
-        key = pmf_key(base, 3, 1, areas)
-        assert key == pmf_key(
-            onr_scenario(num_sensors=120, speed=10.0, threshold=9), 3, 1, areas
+        key = grid_key(base, 3, 3, 1, [120])
+        assert key == grid_key(
+            onr_scenario(num_sensors=120, speed=10.0, threshold=9),
+            3, 3, 1, [120],
         )
-        assert key != pmf_key(
-            onr_scenario(num_sensors=121, speed=10.0), 3, 1, areas
-        )
-        assert key != pmf_key(
+        assert key != grid_key(base, 3, 3, 1, [121])
+        assert key != grid_key(
             onr_scenario(num_sensors=120, speed=10.0, detect_prob=0.8),
-            3,
-            1,
-            areas,
+            3, 3, 1, [120],
         )
-        assert key != pmf_key(base, 4, 1, areas)
-        assert key != pmf_key(base, 3, 2, areas)
-        assert key != pmf_key(base, 3, 1, areas + 1.0)
+        assert key != grid_key(base, 4, 3, 1, [120])
+        assert key != grid_key(base, 3, 4, 1, [120])
+        assert key != grid_key(base, 3, 3, 2, [120])
+        assert key != grid_key(base, 3, 3, 1, [120], backend="fft")
 
 
 class TestAnalysisLayerCaching:

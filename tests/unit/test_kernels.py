@@ -2,8 +2,7 @@
 
 Covers the backend seam's contracts:
 
-* registry validation, process-wide default get/set, and graceful
-  ``numba`` degradation (``REPRO_DISABLE_NUMBA``);
+* registry validation and process-wide default get/set;
 * FFT-vs-reference conformance on adversarial stacks (tiny supports,
   near-zero mass rows, mixed-magnitude pmfs);
 * the a-priori round-off guard and its ``kernel.fallbacks`` /
@@ -17,19 +16,16 @@ import pytest
 
 from repro import obs
 from repro.cache import clear_analysis_cache
-from repro.core import kernels
 from repro.core.batched import BatchedMarkovSpatialAnalysis
 from repro.core.kernels import (
     FFT_GUARD_ATOL,
     FFT_MIN_WIDTH,
     KERNEL_BACKENDS,
-    available_backends,
     batch_convolve,
     batch_convolve_power,
     fft_roundoff_bound,
     get_default_backend,
     normalize_backend,
-    numba_available,
     resolve_backend,
     set_default_backend,
 )
@@ -38,10 +34,9 @@ from repro.experiments.presets import onr_scenario, small_scenario
 
 
 @pytest.fixture(autouse=True)
-def _reset_backend_state(monkeypatch):
-    """Restore the process default backend and warning latch per test."""
+def _reset_backend_state():
+    """Restore the process default backend per test."""
     previous = get_default_backend()
-    monkeypatch.setattr(kernels, "_numba_warned", kernels._numba_warned)
     yield
     set_default_backend(previous)
 
@@ -53,7 +48,7 @@ def _pmf_stack(rng, rows, width):
 
 class TestRegistry:
     def test_registry_names(self):
-        assert KERNEL_BACKENDS == ("auto", "reference", "fft", "numba")
+        assert KERNEL_BACKENDS == ("auto", "reference", "fft")
 
     def test_normalize_accepts_known_and_none(self):
         for name in KERNEL_BACKENDS:
@@ -78,25 +73,8 @@ class TestRegistry:
             set_default_backend(None)
 
     def test_available_backends_always_has_core_trio(self):
-        names = available_backends()
-        assert ("auto", "reference", "fft") == names[:3]
-        assert ("numba" in names) == numba_available()
-
-    def test_disable_numba_env_forces_unavailable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        assert not numba_available()
-        assert "numba" not in available_backends()
-
-    def test_numba_degrades_to_auto_with_one_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NUMBA", "1")
-        monkeypatch.setattr(kernels, "_numba_warned", False)
-        with obs.instrument() as ob:
-            with pytest.warns(RuntimeWarning, match="degrading to 'auto'"):
-                assert resolve_backend("numba") == "auto"
-            # Second request degrades silently but is still counted.
-            assert resolve_backend("numba") == "auto"
-            counters = ob.manifest()["counters"]
-        assert counters["kernel.numba_unavailable"] == 2
+        for name in ("auto", "reference", "fft"):
+            assert resolve_backend(name) == name
 
     def test_unknown_backend_rejected_at_convolve(self):
         a = np.ones((1, 3))

@@ -1,11 +1,23 @@
-"""Unit tests for repro.core.markov_spatial (the M-S-approach)."""
+"""Unit tests for repro.core.markov_spatial (the M-S-approach).
+
+Engine-vs-matrix checks compare against :mod:`repro.markov.oracle`, the
+literal Eq. 12 matrix product, which shares only the region
+decomposition with the engine.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.batched import BatchedMarkovSpatialAnalysis
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.errors import AnalysisError
 from repro.experiments.presets import onr_scenario
+from repro.markov.oracle import (
+    distribution_gap,
+    matrix_detection_probability,
+    ms_state_count,
+    ms_transition_matrices,
+)
 
 
 @pytest.fixture
@@ -80,28 +92,26 @@ class TestStagePmfs:
 
 class TestResultDistribution:
     def test_convolution_matches_matrix(self, analysis):
-        conv = analysis.report_count_distribution("convolution")
-        matrix = analysis.report_count_distribution("matrix")
-        np.testing.assert_allclose(conv, matrix[: conv.size], atol=1e-12)
-        assert abs(matrix[conv.size :]).sum() == 0.0
+        gap = distribution_gap(
+            analysis.report_count_distribution(), analysis.scenario, 3
+        )
+        assert gap <= 1e-12
 
     def test_total_mass_is_eta_ms(self, analysis):
         dist = analysis.report_count_distribution()
         assert dist.sum() == pytest.approx(analysis.analysis_accuracy())
 
-    def test_unknown_method_rejected(self, analysis):
-        with pytest.raises(AnalysisError):
-            analysis.report_count_distribution("fft")
-
     def test_state_count(self, analysis):
         # M * Z + 1 with Z = (ms + 1) * gh = 5 * 3.
-        assert analysis.num_states() == 20 * 15 + 1
+        assert ms_state_count(analysis.scenario, 3) == 20 * 15 + 1
 
     def test_transition_matrix_shapes(self, analysis):
-        matrices = analysis.transition_matrices()
+        states = ms_state_count(analysis.scenario, 3)
+        matrices = ms_transition_matrices(analysis.scenario, 3)
         assert len(matrices) == 2 + analysis.scenario.ms
         for matrix in matrices:
-            assert matrix.shape == (analysis.num_states(), analysis.num_states())
+            assert matrix.shape == (states, states)
+        assert analysis.report_count_distribution().size <= states
 
 
 class TestDetectionProbability:
@@ -135,9 +145,21 @@ class TestDetectionProbability:
         assert fast > slow
 
     def test_matrix_method_same_probability(self, analysis):
-        assert analysis.detection_probability(method="matrix") == pytest.approx(
-            analysis.detection_probability(method="convolution"), abs=1e-12
+        assert analysis.detection_probability() == pytest.approx(
+            matrix_detection_probability(analysis.scenario, 3), abs=1e-12
         )
+
+    @pytest.mark.parametrize("threshold", [1, 3, 7])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_bitwise_equal_to_grid_cell(self, onr, threshold, normalize):
+        """The singleton view is row 0 of the batched engine, not a copy."""
+        single = MarkovSpatialAnalysis(onr, 3).detection_probability(
+            threshold=threshold, normalize=normalize
+        )
+        grid = BatchedMarkovSpatialAnalysis(onr, 3).detection_probability_grid(
+            [onr.num_sensors], [threshold], normalize=normalize
+        )
+        assert single == grid[0, 0]
 
     def test_negative_threshold_rejected(self, analysis):
         with pytest.raises(AnalysisError):
@@ -201,10 +223,10 @@ class TestSubsteps:
 
     def test_engines_agree_with_substeps(self, onr):
         analysis = MarkovSpatialAnalysis(onr, 2, 2, substeps=2)
-        conv = analysis.report_count_distribution("convolution")
-        matrix = analysis.report_count_distribution("matrix")
-        np.testing.assert_allclose(conv, matrix[: conv.size], atol=1e-12)
-        assert abs(matrix[conv.size :]).sum() == 0.0
+        gap = distribution_gap(
+            analysis.report_count_distribution(), onr, 2, 2, substeps=2
+        )
+        assert gap <= 1e-12
 
     def test_substep_one_is_base_method(self, onr):
         base = MarkovSpatialAnalysis(onr, 3).report_count_distribution()

@@ -90,6 +90,26 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             onr_scenario(threshold=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_sensors", 2.5),
+            ("num_sensors", True),
+            ("window", 20.5),
+            ("threshold", 3.0),
+            ("sensing_range", math.nan),
+            ("target_speed", math.inf),
+            ("sensing_period", -math.inf),
+            ("detect_prob", math.nan),
+            ("sensing_range", True),
+        ],
+    )
+    def test_rejects_non_integral_counts_and_non_finite_reals(
+        self, onr, field, value
+    ):
+        with pytest.raises(ScenarioError, match=field):
+            onr.replace(**{field: value})
+
     def test_rejects_aregion_larger_than_field(self):
         with pytest.raises(ScenarioError):
             Scenario(
@@ -147,4 +167,26 @@ class TestSerialization:
         data = onr.to_dict()
         data["detect_prob"] = 2.0
         with pytest.raises(ScenarioError):
+            type(onr).from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_sensors", True),
+            ("num_sensors", 2.5),
+            ("num_sensors", "240"),
+            ("window", 20.5),
+            ("threshold", False),
+            ("sensing_range", math.nan),
+            ("sensing_range", "600"),
+            ("field_width", math.inf),
+            ("field_height", math.nan),
+            ("detect_prob", True),
+            ("sensing_range", 10**400),
+        ],
+    )
+    def test_hostile_value_is_a_scenario_error(self, onr, field, value):
+        """Never truncated (2.5 -> 2), coerced (True -> 1) or parsed."""
+        data = dict(onr.to_dict(), **{field: value})
+        with pytest.raises(ScenarioError, match=field):
             type(onr).from_dict(data)

@@ -516,6 +516,30 @@ class TestRealEndpoints:
 
         run(main())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sensing_range", float("nan")),
+            ("target_speed", float("inf")),
+            ("num_sensors", 2.5),
+            ("num_sensors", True),
+            ("window", 20.5),
+        ],
+    )
+    def test_analyze_hostile_scenario_values_are_400(self, field, value):
+        """Not a 500, and never a plausible number for invalid input."""
+
+        async def main():
+            service = self._service()
+            body = json.dumps({"scenario": dict(SCENARIO, **{field: value})})
+            status, _, payload = await service.dispatch(
+                "POST", "/analyze", body.encode()
+            )
+            assert status == 400, payload
+            assert field in json.loads(payload)["error"]
+
+        run(main())
+
     def test_simulate_matches_direct_run_and_caps_trials(self):
         from repro.core.scenario import Scenario
         from repro.simulation.runner import MonteCarloSimulator
@@ -567,9 +591,9 @@ class TestRealEndpoints:
 
     def test_batched_sweep_axis_matches_scalar_analysis(self):
         """``num_sensors`` sweeps take the one-grid-call batched path in
-        the handler; each row must still match the scalar engine."""
-        from repro.core.markov_spatial import MarkovSpatialAnalysis
+        the handler; each row must still match the Eq. 12 matrix oracle."""
         from repro.core.scenario import Scenario
+        from repro.markov.oracle import matrix_detection_probability
 
         async def main():
             service = self._service()
@@ -589,9 +613,7 @@ class TestRealEndpoints:
                 scenario = Scenario.from_dict(
                     {**SCENARIO, "num_sensors": row["num_sensors"]}
                 )
-                reference = MarkovSpatialAnalysis(
-                    scenario, 3
-                ).detection_probability()
+                reference = matrix_detection_probability(scenario, 3)
                 assert row["detection_probability"] == pytest.approx(
                     reference, abs=1e-12
                 )

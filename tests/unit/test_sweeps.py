@@ -293,13 +293,13 @@ class TestAnalyticalGridSweep:
         assert serial == parallel
 
     def test_normalize_false_matches_scalar(self, scenario):
-        from repro.core.markov_spatial import MarkovSpatialAnalysis
+        from repro.markov.oracle import matrix_detection_probability
 
         rows = analytical_grid_sweep(
             scenario, {"threshold": [2]}, normalize=False
         )
-        reference = MarkovSpatialAnalysis(scenario).detection_probability(
-            threshold=2, normalize=False
+        reference = matrix_detection_probability(
+            scenario, threshold=2, normalize=False
         )
         assert rows[0]["detection_probability"] == pytest.approx(
             reference, abs=1e-12

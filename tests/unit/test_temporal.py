@@ -32,9 +32,9 @@ class TestStateCount:
         )
 
     def test_ms_approach_is_exponentially_smaller(self, onr):
-        from repro.core.markov_spatial import MarkovSpatialAnalysis
+        from repro.markov.oracle import ms_state_count
 
-        msa_states = MarkovSpatialAnalysis(onr, 3).num_states()
+        msa_states = ms_state_count(onr, 3)
         assert t_approach_state_count(onr, 3) > 200 * msa_states
 
     def test_invalid_truncation_rejected(self, onr):
