@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
@@ -323,9 +324,24 @@ class StreamTransport:
             pass
         session = self._session_factory()
         decoder = FrameDecoder(self.max_frame_bytes)
+        # A publisher's stream is one-way: the server sends no reply data
+        # its ACKs could ride on, so Linux holds each ACK for the ~40 ms
+        # delayed-ACK timer, and a Nagle-enabled publisher holds its next
+        # small frame until that ACK arrives.  Quick-ACK mode sends the
+        # ACK at once; the kernel leaves the mode by itself, so it is
+        # re-armed after every read.
+        sock = writer.get_extra_info("socket")
+        quickack = hasattr(socket, "TCP_QUICKACK") and sock is not None
         try:
             while True:
                 chunk = await reader.read(1 << 16)
+                if quickack:
+                    try:
+                        sock.setsockopt(
+                            socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1
+                        )
+                    except OSError:  # pragma: no cover - socket already closed
+                        quickack = False
                 at_eof = not chunk
                 try:
                     frames = decoder.feed(chunk) if chunk else []

@@ -83,6 +83,9 @@ class StreamPublisher:
         with socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         ) as sock:
+            # One small frame per period and no reads until the end:
+            # with Nagle on, each frame would wait for the last one's ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(
                 protocol.encode_frame(
                     protocol.hello_frame(scenario, seed=seed, meta=meta)

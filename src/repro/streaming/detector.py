@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter, deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.detection.reports import DetectionReport
@@ -63,7 +63,14 @@ class DetectionEvent:
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form (JSON-serialisable, canonical field order)."""
-        return asdict(self)
+        return {
+            "period": self.period,
+            "fired": self.fired,
+            "new_detection": self.new_detection,
+            "windowed_reports": self.windowed_reports,
+            "distinct_nodes": self.distinct_nodes,
+            "new_reports": self.new_reports,
+        }
 
 
 def event_digest(events: Iterable[DetectionEvent]) -> str:

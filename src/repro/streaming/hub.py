@@ -173,7 +173,7 @@ class StreamSession:
             return []
         if frame_type == "reports":
             period = frame["period"]
-            reports = protocol.reports_from_wire(frame["reports"], period)
+            reports = self._validator.reports
             metrics.incr("reports", len(reports))
             event = self._detector.observe(period, reports)
             metrics.incr("events")

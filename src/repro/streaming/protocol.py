@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.scenario import Scenario
@@ -107,7 +108,8 @@ def reports_from_wire(wire: Any, period: int) -> List[DetectionReport]:
     """Inverse of :func:`reports_to_wire` (validates shapes).
 
     Raises:
-        ProtocolError: on malformed report entries.
+        ProtocolError: on malformed report entries: not ``[node, x, y]``,
+            a non-integer node, or a bool or non-finite coordinate.
     """
     if not isinstance(wire, list):
         raise ProtocolError(
@@ -121,18 +123,20 @@ def reports_from_wire(wire: Any, period: int) -> List[DetectionReport]:
             or len(entry) != 3
             or isinstance(entry[0], (bool, float))
             or not isinstance(entry[0], int)
-            or not all(isinstance(v, (int, float)) for v in entry[1:])
+            or isinstance(entry[1], bool)
+            or isinstance(entry[2], bool)
+            or not isinstance(entry[1], (int, float))
+            or not isinstance(entry[2], (int, float))
         ):
             raise ProtocolError(
                 f"malformed report entry {entry!r} (want [node, x, y])",
                 code="reports",
             )
         try:
-            out.append(
-                DetectionReport(
-                    entry[0], period, Point(float(entry[1]), float(entry[2]))
-                )
-            )
+            x, y = float(entry[1]), float(entry[2])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError("coordinates must be finite")
+            out.append(DetectionReport(entry[0], period, Point(x, y)))
         except Exception as exc:
             raise ProtocolError(
                 f"invalid report {entry!r}: {exc}", code="reports"
@@ -296,11 +300,17 @@ class SessionValidator:
     the frame (for chaining) and raises :class:`ProtocolError` on the
     first violation.  After the ``end`` frame any further frame — or
     any trailing bytes the decoder turns into one — is an error.
+
+    Attributes:
+        reports: the reports of the last accepted ``reports`` frame,
+            parsed while shape-checking it, so a consumer need not parse
+            the frame a second time.
     """
 
     def __init__(self) -> None:
         self.hello: Optional[Dict[str, Any]] = None
         self.scenario: Optional[Scenario] = None
+        self.reports: List[DetectionReport] = []
         self.ended = False
         self._seq = 0
         self._period = 0
@@ -416,9 +426,8 @@ class SessionValidator:
         self._period = period
         # Shape-check now so a malformed frame fails at arrival, not at
         # detection time.
-        self._total_reports += len(
-            reports_from_wire(frame.get("reports"), period)
-        )
+        self.reports = reports_from_wire(frame.get("reports"), period)
+        self._total_reports += len(self.reports)
 
     def _validate_end(self, frame: Dict[str, Any]) -> None:
         declared = frame.get("total_reports")

@@ -6,13 +6,16 @@ oversized frames (with and without a terminating newline), frames split
 across arbitrary read boundaries, non-JSON lines, and trailing garbage
 after a clean end-of-stream.  Every malformed input must produce a
 typed error frame and a prompt close — never a hang — and must leave
-the server serving.
+the server serving.  A paced publisher that leaves Nagle on must see its
+frames reach the fan-out promptly, not after a delayed-ACK wait.
 """
 
 import asyncio
 import json
+import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -77,13 +80,21 @@ def _exchange(server, payload, timeout=10.0):
     ]
 
 
-def _session_bytes(periods=2, reports_per_period=1, seed=3):
+def _session_frames(periods=2, reports_per_period=1, seed=3):
+    """One session's encoded frames: hello, reports per period, end.
+
+    Positions are seeded random floats, so frame lengths vary the way a
+    real deployment's do.
+    """
     scenario = small_scenario()
+    rng = random.Random(seed)
     frames = [protocol.hello_frame(scenario, seed=seed)]
     total = 0
     for period in range(1, periods + 1):
         reports = [
-            DetectionReport(node, period, Point(float(node), 0.0))
+            DetectionReport(
+                node, period, Point(rng.uniform(0, 1e4), rng.uniform(0, 1e4))
+            )
             for node in range(reports_per_period)
         ]
         frames.append(protocol.reports_frame(period, period, reports))
@@ -93,7 +104,11 @@ def _session_bytes(periods=2, reports_per_period=1, seed=3):
             periods + 1, periods=periods, total_reports=total
         )
     )
-    return b"".join(protocol.encode_frame(frame) for frame in frames)
+    return [protocol.encode_frame(frame) for frame in frames]
+
+
+def _session_bytes(periods=2, reports_per_period=1, seed=3):
+    return b"".join(_session_frames(periods, reports_per_period, seed))
 
 
 class TestCleanSessions:
@@ -194,3 +209,56 @@ class TestMalformedInput:
                 pass
         replies = _exchange(server, _session_bytes(seed=11))
         assert replies[-1]["type"] == "end"
+
+
+class TestPromptAck:
+    def test_paced_nagle_publisher_is_not_held_by_delayed_acks(self):
+        # A publisher with Nagle on holds each small frame until the
+        # previous one is ACKed.  The ingest stream is one-way, so unless
+        # the server ACKs at once, every frame waits out the ~40 ms
+        # delayed-ACK timer.
+        periods, spacing = 100, 0.002
+        hello, *reports, end = _session_frames(
+            periods=periods, reports_per_period=16
+        )
+        server = _WireServer()
+        broadcast_at = {}
+        broadcast = server.hub.broadcast
+
+        def timed_broadcast(frame):
+            if frame["type"] == "event":
+                broadcast_at[frame["period"]] = time.perf_counter()
+            return broadcast(frame)
+
+        server.hub.broadcast = timed_broadcast
+        sent_at = {}
+        try:
+            with socket.create_connection(
+                (server.host, server.port), timeout=10
+            ) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 0)
+                sock.sendall(hello)
+                start = time.perf_counter()
+                for period, frame in enumerate(reports, start=1):
+                    delay = start + period * spacing - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
+                    sent_at[period] = time.perf_counter()
+                    sock.sendall(frame)
+                sock.sendall(end)
+                sock.shutdown(socket.SHUT_WR)
+                data = b""
+                while True:
+                    chunk = sock.recv(1 << 16)
+                    if not chunk:
+                        break
+                    data += chunk
+        finally:
+            server.stop()
+        assert json.loads(data.splitlines()[-1])["type"] == "end"
+        gaps = sorted(broadcast_at[p] - sent_at[p] for p in sent_at)
+        p90 = gaps[int(0.9 * len(gaps))]
+        assert p90 < 0.015, (
+            f"p90 send-to-broadcast gap {p90 * 1e3:.1f} ms "
+            f"(p50 {gaps[len(gaps) // 2] * 1e3:.1f} ms)"
+        )

@@ -86,6 +86,24 @@ class TestSessions:
         )
         assert second["event_digest"] == first["event_digest"]
 
+    def test_reports_frame_is_parsed_once(self, monkeypatch):
+        session = StreamHub().open_session()
+        session.handle(protocol.hello_frame(small_scenario(), seed=1))
+        frame = protocol.reports_frame(
+            1, 1, [_report(node, 1) for node in range(16)]
+        )
+        constructed = []
+        init = DetectionReport.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DetectionReport, "__init__", counting_init)
+        session.handle(frame)
+        assert len(constructed) == 16
+        assert session.detector.windowed_count == 16
+
 
 class TestFanOut:
     def test_subscribers_receive_identical_full_sessions(self):

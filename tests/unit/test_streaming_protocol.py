@@ -50,12 +50,50 @@ class TestEncoding:
             [[True, 1.0, 2.0]],
             [[1.5, 1.0, 2.0]],
             [[1, "x", 2.0]],
+            [[3, True, 1.0]],
+            [[3, 1.0, False]],
+            [[3, float("nan"), 1.0]],
+            [[3, 1.0, float("inf")]],
+            [[3, float("-inf"), 1.0]],
+            [[3, 10**400, 1.0]],
         ],
     )
     def test_malformed_wire_reports_raise_typed_error(self, wire):
         with pytest.raises(ProtocolError) as excinfo:
             protocol.reports_from_wire(wire, 1)
         assert excinfo.value.code == "reports"
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["[3,NaN,1.0]", "[3,Infinity,1.0]", "[3,1e400,1.0]", "[3,true,1.0]"],
+    )
+    def test_non_finite_or_bool_coordinates_on_the_wire_are_rejected(
+        self, entry
+    ):
+        # json.loads accepts NaN and Infinity and reads 1e400 as inf.
+        hello, _, _ = _session_frames()
+        line = (
+            '{"period":1,"reports":[' + entry + '],"seq":1,"type":"reports"}\n'
+        )
+        validator = protocol.SessionValidator()
+        validator.validate(hello)
+        (frame,) = protocol.FrameDecoder().feed(line.encode("ascii"))
+        with pytest.raises(ProtocolError) as excinfo:
+            validator.validate(frame)
+        assert excinfo.value.code == "reports"
+
+    def test_validator_keeps_the_parsed_reports(self):
+        from repro.detection.reports import DetectionReport
+        from repro.geometry.shapes import Point
+
+        reports = [DetectionReport(4, 1, Point(1.5, -2.0))]
+        hello, _, _ = _session_frames()
+        validator = protocol.SessionValidator()
+        validator.validate(hello)
+        validator.validate(protocol.reports_frame(1, 1, reports))
+        assert validator.reports == reports
+        validator.validate(protocol.heartbeat_frame(2))
+        assert validator.reports == reports
 
 
 class TestFrameDecoder:
