@@ -12,11 +12,11 @@ region", whose probability is a binomial CDF.  Given a user accuracy target
 
 from __future__ import annotations
 
-from scipy import stats
+import math
 
 from repro.core.regions import s_approach_regions
 from repro.core.scenario import Scenario
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, require_count
 
 __all__ = [
     "stage_accuracy",
@@ -35,9 +35,19 @@ def stage_accuracy(
     ``Binomial(N, area/S)`` CDF at ``max_sensors`` — this is ``xi_h``
     (Eq. 7) for the Head NEDR, ``xi`` (Eq. 9) for a Body NEDR, and
     ``eta_S`` (Eq. 5) for the whole ARegion, depending on the area passed.
+
+    Raises:
+        AnalysisError: if a count is not an integer or is negative, or the
+            areas are not finite with ``0 <= region_area <= field_area``.
     """
-    if field_area <= 0:
-        raise AnalysisError(f"field_area must be positive, got {field_area}")
+    from scipy import stats
+
+    require_count("num_sensors", num_sensors, AnalysisError)
+    require_count("max_sensors", max_sensors, AnalysisError)
+    if not (math.isfinite(field_area) and field_area > 0):
+        raise AnalysisError(
+            f"field_area must be positive and finite, got {field_area}"
+        )
     if not 0 <= region_area <= field_area:
         raise AnalysisError(
             f"region_area must be within [0, field_area], got {region_area}"

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats
-
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, require_count
 
 __all__ = [
     "window_false_alarm_probability",
@@ -35,6 +33,8 @@ __all__ = [
 
 
 def _validate(num_sensors: int, window: int, false_alarm_prob: float) -> None:
+    require_count("num_sensors", num_sensors, AnalysisError)
+    require_count("window", window, AnalysisError)
     if num_sensors < 1:
         raise AnalysisError(f"num_sensors must be >= 1, got {num_sensors}")
     if window < 1:
@@ -58,8 +58,14 @@ def window_false_alarm_probability(
         window: ``M``.
         false_alarm_prob: per-sensor per-period false report probability.
         threshold: ``k``.
+
+    Raises:
+        AnalysisError: if a count is not an integer or is out of range.
     """
+    from scipy import stats
+
     _validate(num_sensors, window, false_alarm_prob)
+    require_count("threshold", threshold, AnalysisError)
     if threshold < 1:
         raise AnalysisError(f"threshold must be >= 1, got {threshold}")
     return float(stats.binom.sf(threshold - 1, num_sensors * window, false_alarm_prob))

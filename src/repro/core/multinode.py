@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import signal
 
 from repro.core.regions import body_subareas, head_subareas, tail_subareas
 from repro.core.report_dist import conditional_report_pmf, occupancy_pmf
@@ -108,6 +107,8 @@ class MultiNodeAnalysis:
 
     def _stage_joint(self, subareas: np.ndarray, max_sensors: int) -> np.ndarray:
         """Joint (nodes, reports) pmf of one NEDR, truncated at ``max_sensors``."""
+        from scipy import signal
+
         per_sensor = self._per_sensor_joint(subareas)
         occupancy = occupancy_pmf(
             float(np.asarray(subareas, dtype=float).sum()),
@@ -133,6 +134,8 @@ class MultiNodeAnalysis:
         Substochastic for the same reason the M-S pmfs are; normalise with
         the total mass as in Eq. 13.
         """
+        from scipy import signal
+
         scenario = self._scenario
         result = self._stage_joint(head_subareas(scenario), self._gh)
         body = self._stage_joint(body_subareas(scenario), self._g)

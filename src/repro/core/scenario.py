@@ -28,28 +28,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 from repro.deployment.field import SensorField
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, require_count
 
 __all__ = ["Scenario"]
 
 _COUNT_FIELDS = ("num_sensors", "window", "threshold")
 _REAL_FIELDS = ("sensing_range", "target_speed", "sensing_period", "detect_prob")
-
-
-def _require_count(name: str, value) -> None:
-    """Counts are exact integers: bools and non-integral numbers fail."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise ScenarioError(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
 
 
 def _real(name: str, value) -> float:
@@ -85,7 +72,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for name in _COUNT_FIELDS:
-            _require_count(name, getattr(self, name))
+            require_count(name, getattr(self, name), ScenarioError)
         for name in _REAL_FIELDS:
             _real(name, getattr(self, name))
         if self.num_sensors < 1:

@@ -10,7 +10,6 @@ with probability ``dr_area / S`` and, if inside, detects with probability
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError
@@ -27,6 +26,8 @@ def report_count_pmf_single_period(scenario: Scenario) -> np.ndarray:
     Returns:
         Array of length ``N + 1``; entry ``m`` is ``P1[X = m]``.
     """
+    from scipy import stats
+
     counts = np.arange(scenario.num_sensors + 1)
     return stats.binom.pmf(counts, scenario.num_sensors, scenario.p_indi)
 
@@ -45,6 +46,8 @@ def detection_probability_single_period(scenario: Scenario) -> float:
             f"single-period analysis requires window == 1, got {scenario.window}; "
             "use MarkovSpatialAnalysis for multi-period windows"
         )
+    from scipy import stats
+
     # P1[X >= k] = 1 - sum_{i<k} P1[X = i] = survival function at k-1.
     return float(
         stats.binom.sf(scenario.threshold - 1, scenario.num_sensors, scenario.p_indi)

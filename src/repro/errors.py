@@ -7,6 +7,8 @@ distinguish library errors from programming errors.
 
 from __future__ import annotations
 
+import operator
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -62,3 +64,14 @@ class ProtocolError(StreamError):
     def __init__(self, message: str, code: str = "protocol"):
         super().__init__(message)
         self.code = code
+
+
+def require_count(name: str, value, error: type) -> None:
+    """Raise ``error`` unless ``value`` is an exact integer: bools and
+    non-integral numbers (``2.5``, ``10.0``, NaN) fail, never truncate."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None

@@ -5,14 +5,16 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_count
 
 __all__ = ["wilson_interval", "standard_error", "two_proportion_z_test"]
 
 
 def _validate_counts(successes: int, trials: int) -> None:
+    require_count("successes", successes, SimulationError)
+    require_count("trials", trials, SimulationError)
     if trials < 1:
         raise SimulationError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
@@ -41,7 +43,8 @@ def wilson_interval(
     _validate_counts(successes, trials)
     if not 0.0 < confidence < 1.0:
         raise SimulationError(f"confidence must be in (0, 1), got {confidence}")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    # ndtri is the standard normal quantile (scipy.stats.norm.ppf).
+    z = float(ndtri(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denominator = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denominator
@@ -91,5 +94,6 @@ def two_proportion_z_test(
     if variance == 0.0:
         return (0.0, 1.0)
     z = (p_a - p_b) / math.sqrt(variance)
-    p_value = 2.0 * float(stats.norm.sf(abs(z)))
+    # ndtr(-z) is the standard normal survival function (norm.sf(z)).
+    p_value = 2.0 * float(ndtr(-abs(z)))
     return (z, min(1.0, p_value))

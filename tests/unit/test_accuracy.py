@@ -1,5 +1,8 @@
 """Unit tests for repro.core.accuracy (Fig. 8 machinery)."""
 
+import math
+
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -36,6 +39,28 @@ class TestStageAccuracy:
             stage_accuracy(10, 20.0, 10.0, 1)
         with pytest.raises(AnalysisError):
             stage_accuracy(-1, 1.0, 10.0, 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.5, 1.0, 10.0, 1),  # was nan
+            (10, 1.0, 10.0, 1.5),  # was floored to 1
+            (10.0, 1.0, 10.0, 1),
+            (True, 1.0, 10.0, 1),
+            (10, 1.0, 10.0, False),
+            (10, 1.0, math.inf, 1),  # was 1.0
+            (10, 1.0, math.nan, 1),
+            (10, math.nan, 10.0, 1),
+        ],
+    )
+    def test_non_integral_counts_and_non_finite_areas_rejected(self, args):
+        with pytest.raises(AnalysisError):
+            stage_accuracy(*args)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert stage_accuracy(np.int64(100), 50.0, 1000.0, np.int32(3)) == (
+            stage_accuracy(100, 50.0, 1000.0, 3)
+        )
 
 
 class TestRequiredTruncation:

@@ -50,6 +50,22 @@ class TestWindowProbability:
         with pytest.raises(AnalysisError):
             window_false_alarm_probability(10, 20, 0.1, 0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (10.5, 2, 0.1, 1),  # was 0.89
+            (10, 2, 0.1, 2.5),  # was 0.61
+            (10, 2.0, 0.1, 1),
+            (True, 2, 0.1, 1),
+            (10, 2, 0.1, True),
+        ],
+    )
+    def test_non_integral_counts_rejected(self, args):
+        with pytest.raises(AnalysisError, match="must be an integer"):
+            window_false_alarm_probability(*args)
+        with pytest.raises(AnalysisError, match="must be an integer"):
+            false_alarm_rate_per_period(*args)
+
 
 class TestMinimumSafeThreshold:
     def test_is_minimal(self):

@@ -1,0 +1,61 @@
+"""Cold-start guard: ``import repro`` loads no ``scipy.stats`` or ``scipy.signal``.
+
+Each costs ~1 s to import and no analysis, sweep, service or stream path
+needs it at start-up, so the modules that use them import them inside the
+function.  The check runs in a fresh interpreter, because this test
+process has long since imported both.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import repro
+
+ENTRY_POINTS = (
+    "repro",
+    "repro.experiments.cli",
+    "repro.experiments.sweeps",
+    "repro.adaptive",
+    "repro.core.design",
+    "repro.service.server",
+    "repro.streaming",
+    "repro.streaming.cli",
+)
+DEFERRED = ("scipy.stats", "scipy.signal")
+
+
+def _deferred_modules_loaded_after(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter; report which deferred modules loaded."""
+    probe = code + (
+        "\nimport json, sys\n"
+        f"print(json.dumps({{m: m in sys.modules for m in {DEFERRED!r}}}))\n"
+    )
+    package_root = pathlib.Path(repro.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_entry_points_leave_deferred_scipy_modules_unloaded():
+    imports = "\n".join(f"import {name}" for name in ENTRY_POINTS)
+    assert _deferred_modules_loaded_after(imports) == {
+        name: False for name in DEFERRED
+    }
+
+
+def test_single_period_analysis_loads_scipy_stats_on_first_use():
+    loaded = _deferred_modules_loaded_after(
+        "import repro\n"
+        "from repro.core.single_period import detection_probability_single_period\n"
+        "s = repro.onr_scenario(window=1, threshold=1)\n"
+        "assert 0.0 < detection_probability_single_period(s) < 1.0\n"
+    )
+    assert loaded == {"scipy.stats": True, "scipy.signal": False}

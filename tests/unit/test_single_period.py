@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.exact_spatial import ExactSpatialAnalysis
+from repro.core.scenario import Scenario
 from repro.core.single_period import (
     detection_probability_single_period,
     report_count_pmf_single_period,
 )
+from repro.deployment.field import SensorField
 from repro.errors import AnalysisError
 from repro.experiments.presets import onr_scenario
 
@@ -68,3 +73,32 @@ class TestDetectionProbability:
     def test_multi_period_scenario_rejected(self, onr):
         with pytest.raises(AnalysisError):
             detection_probability_single_period(onr)
+
+
+@st.composite
+def single_period_scenarios(draw):
+    """Sparse ``M = 1`` scenarios over speed, range, node count and ``k``."""
+    sensing_range = draw(st.floats(10.0, 2000.0))
+    speed = draw(st.floats(0.1, 100.0))
+    dr_area = 2.0 * sensing_range * speed + math.pi * sensing_range**2
+    side = math.sqrt(dr_area) * draw(st.floats(1.1, 30.0))
+    return Scenario(
+        field=SensorField.square(side),
+        num_sensors=draw(st.integers(1, 240)),
+        sensing_range=sensing_range,
+        target_speed=speed,
+        sensing_period=1.0,
+        detect_prob=draw(st.floats(0.05, 1.0)),
+        window=1,
+        threshold=draw(st.integers(1, 12)),
+    )
+
+
+class TestAgainstExactOracle:
+    @given(scenario=single_period_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_n_fold_convolution(self, scenario):
+        """Eq. 2's binomial tail against the exact engine's convolution."""
+        closed_form = detection_probability_single_period(scenario)
+        exact = ExactSpatialAnalysis(scenario).detection_probability()
+        assert abs(closed_form - exact) <= 1e-13

@@ -1,9 +1,16 @@
 """Unit tests for repro.simulation.stats."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.stats import standard_error, wilson_interval
+from repro.simulation.stats import (
+    standard_error,
+    two_proportion_z_test,
+    wilson_interval,
+)
 
 
 class TestWilsonInterval:
@@ -112,3 +119,77 @@ class TestTwoProportionZTest:
             two_proportion_z_test(-1, 10, 1, 10)
         with pytest.raises(SimulationError):
             two_proportion_z_test(1, 10, 11, 10)
+
+
+class TestCountsAreIntegers:
+    @pytest.mark.parametrize(
+        "successes, trials",
+        [(2.5, 10), (2, 10.0), (True, 10), (1, True), (math.nan, 10)],
+    )
+    def test_non_integral_counts_rejected(self, successes, trials):
+        with pytest.raises(SimulationError, match="must be an integer"):
+            wilson_interval(successes, trials)
+        with pytest.raises(SimulationError, match="must be an integer"):
+            standard_error(successes, trials)
+        with pytest.raises(SimulationError, match="must be an integer"):
+            two_proportion_z_test(1, 10, successes, trials)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert wilson_interval(np.int64(7), np.int64(10)) == wilson_interval(7, 10)
+
+
+class TestNormalQuantilePin:
+    """Bitwise equal to the ``scipy.stats.norm`` forms the helpers replaced."""
+
+    @staticmethod
+    def _wilson_via_norm(successes, trials, confidence):
+        from scipy import stats
+
+        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        p_hat = successes / trials
+        denominator = 1.0 + z * z / trials
+        center = (p_hat + z * z / (2.0 * trials)) / denominator
+        margin = (
+            z
+            * math.sqrt(
+                p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials)
+            )
+            / denominator
+        )
+        return (max(0.0, center - margin), min(1.0, center + margin))
+
+    @pytest.mark.parametrize("confidence", [0.68, 0.9, 0.95, 0.99, 0.999])
+    def test_wilson_interval_bitwise(self, confidence):
+        for trials in (1, 10, 400, 10_000):
+            for successes in sorted({0, 1, trials // 3, trials // 2, trials}):
+                assert wilson_interval(
+                    successes, trials, confidence
+                ) == self._wilson_via_norm(successes, trials, confidence)
+
+    def test_quantile_bitwise_on_a_grid(self):
+        from scipy import stats
+        from scipy.special import ndtri
+
+        q = np.linspace(1e-6, 1.0 - 1e-6, 20_001)
+        assert np.array_equal(ndtri(q), stats.norm.ppf(q))
+
+    def test_two_proportion_z_test_bitwise(self):
+        from scipy import stats
+
+        counts = [(0, 50), (3, 50), (25, 50), (49, 50), (700, 1000), (500, 1000)]
+        for successes_a, trials_a in counts:
+            for successes_b, trials_b in counts:
+                z, p_value = two_proportion_z_test(
+                    successes_a, trials_a, successes_b, trials_b
+                )
+                if (z, p_value) == (0.0, 1.0):
+                    continue
+                expected = min(1.0, 2.0 * float(stats.norm.sf(abs(z))))
+                assert p_value == expected
+
+    def test_survival_bitwise_on_a_z_grid(self):
+        from scipy import stats
+        from scipy.special import ndtr
+
+        z = np.linspace(0.0, 40.0, 20_001)
+        assert np.array_equal(ndtr(-z), stats.norm.sf(z))
