@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.cache import clear_analysis_cache
 from repro.core.batched import BatchedMarkovSpatialAnalysis
-from repro.core.kernels import FFT_MIN_WIDTH, resolve_backend
+from repro.core.kernels import FFT_MIN_WIDTH
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.experiments.presets import onr_scenario
 from repro.experiments.records import ExperimentRecord
@@ -113,7 +113,7 @@ def test_batched_grid_speedup(emit_record):
             "thresholds_axis": thresholds,
             "speed": 10.0,
             "truncation": 3,
-            "backend": resolve_backend(None),
+            "backend": "auto",
             "fft_min_width": FFT_MIN_WIDTH,
             "cpu_count": os.cpu_count(),
         },

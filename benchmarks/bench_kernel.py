@@ -1,8 +1,8 @@
 """PERF-KERNEL: FFT convolution kernel vs the shift-and-add reference.
 
-Times :func:`repro.core.kernels.batch_convolve` on large-support pmf
-stacks — the regime ``backend='auto'`` routes to the FFT (both supports
-``>= FFT_MIN_WIDTH``) — under the two real kernels:
+Times the two convolution kernels in :mod:`repro.core.kernels` on
+large-support pmf stacks — the regime the shipped dispatch routes to the
+FFT (both supports ``>= FFT_MIN_WIDTH``):
 
 * **reference** — the fixed-reduction-order shift-and-add loop
   (``O(B n_short L)``), the bitwise conformance oracle;
@@ -12,8 +12,9 @@ stacks — the regime ``backend='auto'`` routes to the FFT (both supports
 The ISSUE 6 acceptance gate: on supports >= 64 the FFT path must be
 **>= 3x** faster than shift-and-add while agreeing to 1e-12, asserted
 here so the committed record can never drift from a run that missed
-them.  The ``auto`` row documents that the dispatcher actually picks
-the fast path at these widths (same arrays, guard accepted).
+them.  The ``auto`` row times :func:`~repro.core.kernels.batch_convolve`
+itself and documents that the dispatcher actually picks the fast path at
+these widths (same arrays, guard accepted).
 
 Environment knobs:
 
@@ -32,6 +33,8 @@ import numpy as np
 from repro.core.kernels import (
     FFT_GUARD_ATOL,
     FFT_MIN_WIDTH,
+    _convolve_fft,
+    _convolve_reference,
     batch_convolve,
     fft_roundoff_bound,
 )
@@ -43,7 +46,7 @@ MIN_SPEEDUP = 3.0
 #: Parity bound between the kernels (the FFT reassociates the sums).
 PARITY_ATOL = 1e-12
 
-#: Timed repetitions per backend (amortises timer granularity).
+#: Timed repetitions per kernel (amortises timer granularity).
 REPEATS = 20
 
 
@@ -52,11 +55,11 @@ def _pmf_stack(rng, rows, width):
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def _time_backend(a, b, backend):
-    batch_convolve(a, b, backend=backend)  # warm-up
+def _time_kernel(kernel, a, b):
+    kernel(a, b)  # warm-up
     start = time.perf_counter()
     for _ in range(REPEATS):
-        out = batch_convolve(a, b, backend=backend)
+        out = kernel(a, b)
     return (time.perf_counter() - start) / REPEATS, out
 
 
@@ -67,20 +70,20 @@ def test_fft_kernel_speedup(emit_record):
     a = _pmf_stack(rng, rows, width)
     b = _pmf_stack(rng, rows, width)
 
-    # The guard must accept pmf-normalised rows, or 'auto' would never
-    # actually take the path this benchmark prices.
+    # The guard must accept pmf-normalised rows, or the dispatcher would
+    # never actually take the path this benchmark prices.
     assert fft_roundoff_bound(a, b) <= FFT_GUARD_ATOL
 
-    reference_seconds, reference_out = _time_backend(a, b, "reference")
-    fft_seconds, fft_out = _time_backend(a, b, "fft")
-    auto_seconds, auto_out = _time_backend(a, b, "auto")
+    reference_seconds, reference_out = _time_kernel(_convolve_reference, a, b)
+    fft_seconds, fft_out = _time_kernel(_convolve_fft, a, b)
+    auto_seconds, auto_out = _time_kernel(batch_convolve, a, b)
 
     max_deviation = float(np.abs(fft_out - reference_out).max())
     assert max_deviation <= PARITY_ATOL, (
         f"FFT kernel deviates from shift-and-add by {max_deviation:.3e}"
         f" (> {PARITY_ATOL})"
     )
-    # At these widths 'auto' must have dispatched to the FFT.
+    # At these widths the dispatcher must have taken the FFT.
     assert (auto_out == fft_out).all()
 
     speedup = reference_seconds / fft_seconds

@@ -184,7 +184,7 @@ def test_fft_kernel_speedup_vs_recorded_baseline():
 
     import numpy as np
 
-    from repro.core.kernels import batch_convolve
+    from repro.core.kernels import _convolve_reference, batch_convolve
 
     rows = baseline.parameters["rows"]
     width = baseline.parameters["width"]
@@ -194,17 +194,17 @@ def test_fft_kernel_speedup_vs_recorded_baseline():
     a = raw_a / raw_a.sum(axis=1, keepdims=True)
     b = raw_b / raw_b.sum(axis=1, keepdims=True)
 
-    def timed(backend, repeats=10):
-        batch_convolve(a, b, backend=backend)
+    def timed(kernel, repeats=10):
+        kernel(a, b)
         start = time.perf_counter()
         for _ in range(repeats):
-            batch_convolve(a, b, backend=backend)
+            kernel(a, b)
         return (time.perf_counter() - start) / repeats
 
-    # 'auto' must still take the FFT path on the recorded shape: its
-    # speedup over the reference loop may shrink by the regression
+    # The dispatcher must still take the FFT path on the recorded shape:
+    # its speedup over the reference loop may shrink by the regression
     # factor but must not collapse toward 1x.
-    speedup = timed("reference") / timed("auto")
+    speedup = timed(_convolve_reference) / timed(batch_convolve)
     assert speedup >= recorded_speedup / REGRESSION_FACTOR, (
         f"auto-dispatched convolution at width {width} is only "
         f"{speedup:.1f}x faster than shift-and-add; the recorded "

@@ -5,7 +5,7 @@
 frontiers, feasibility slices — from 10-100x fewer oracle evaluations
 than the dense grid scans, while returning **identical** answers.  See
 :mod:`repro.adaptive.search` for the exactness contract and
-:mod:`repro.adaptive.evaluators` for the pluggable backend seam
+:mod:`repro.adaptive.evaluators` for the pluggable evaluator seam
 (in-process / cached / distributed fleet).
 
 :class:`FleetEvaluator` lives in :mod:`repro.distributed` (it is the

@@ -13,13 +13,13 @@ against the in-process batched engine, the process-wide
 Exactness contract
 ------------------
 
-Every backend must return values **bitwise identical** to the batched
+Every evaluator must return values **bitwise identical** to the batched
 grid the dense scans read.  That holds because all of them bottom out in
 :class:`repro.core.batched.BatchedMarkovSpatialAnalysis`, whose kernels
 are batch-invariant (a singleton evaluation equals the matching grid
 cell byte-for-byte), and because the distributed wire format round-trips
 floats exactly (JSON ``repr``).  ``tests/integration/
-test_adaptive_matrix.py`` pins this for all three backends.
+test_adaptive_matrix.py`` pins this for all three evaluators.
 
 Accounting
 ----------
@@ -43,7 +43,6 @@ import numpy as np
 from repro.adaptive.ledger import EvaluationLedger
 from repro.cache import AnalysisCache, analysis_cache, design_point_key
 from repro.core.batched import BatchedMarkovSpatialAnalysis
-from repro.core.kernels import resolve_backend
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError
 
@@ -53,13 +52,7 @@ Point = Dict[str, object]
 
 #: Engine parameters every evaluator resolves values under; an evaluator
 #: wrapping another must agree with it on all of these.
-_ENGINE_PARAMS = (
-    "truncation",
-    "head_truncation",
-    "substeps",
-    "normalize",
-    "backend",
-)
+_ENGINE_PARAMS = ("truncation", "head_truncation", "substeps", "normalize")
 
 
 class Evaluator:
@@ -71,10 +64,6 @@ class Evaluator:
         substeps: path-discretisation substeps.
         normalize: forward to ``detection_probability`` (window-start
             normalisation).
-        backend: kernel backend for in-process evaluation; ``None``
-            defers to the process-wide default.  Backends round
-            differently, so a non-default backend must be used on *all*
-            paths being compared.
         ledger: shared :class:`EvaluationLedger`; a private one is
             created when omitted.
     """
@@ -87,14 +76,12 @@ class Evaluator:
         head_truncation: Optional[int] = None,
         substeps: int = 1,
         normalize: bool = True,
-        backend: Optional[str] = None,
         ledger: Optional[EvaluationLedger] = None,
     ):
         self.truncation = truncation
         self.head_truncation = head_truncation
         self.substeps = substeps
         self.normalize = normalize
-        self.backend = backend
         self.ledger = ledger if ledger is not None else EvaluationLedger()
 
     # -- the two query shapes ------------------------------------------
@@ -132,7 +119,7 @@ class Evaluator:
         self.ledger.charge(len(counts) * len(ks))
         return values
 
-    # -- backend hooks -------------------------------------------------
+    # -- subclass hooks ------------------------------------------------
 
     def _compute_points(
         self, scenario: Scenario, points: List[Point]
@@ -164,13 +151,9 @@ class Evaluator:
         ks = [scenario.threshold] if thresholds is None else list(thresholds)
         return counts, ks
 
-    def resolved_backend(self) -> str:
-        """The concrete kernel backend point values are keyed under."""
-        return resolve_backend(self.backend)
-
 
 class InProcessEvaluator(Evaluator):
-    """Evaluate on the in-process batched engine (the reference backend).
+    """Evaluate on the in-process batched engine (the reference evaluator).
 
     Point evaluations use singleton axes of the same engine the grid
     path uses, so both answers are bitwise equal (batch invariance).
@@ -196,7 +179,6 @@ class InProcessEvaluator(Evaluator):
                 body_truncation=self.truncation,
                 head_truncation=self.head_truncation,
                 substeps=self.substeps,
-                backend=self.backend,
             )
             values.append(
                 float(
@@ -219,7 +201,6 @@ class InProcessEvaluator(Evaluator):
             body_truncation=self.truncation,
             head_truncation=self.head_truncation,
             substeps=self.substeps,
-            backend=self.backend,
         ).detection_probability_grid(
             num_sensors=num_sensors,
             thresholds=thresholds,
@@ -235,11 +216,11 @@ class CachedEvaluator(Evaluator):
     frontier queries (different targets, overlapping sample points) are
     answered from the table instead of re-dispatching.  Only misses are
     charged to the ledger; hits go to ``ledger.cache_hits``.  Values are
-    stored as plain floats straight from the inner backend, so a cache
+    stored as plain floats straight from the inner evaluator, so a cache
     hit is bitwise identical to a recomputation.
 
     Args:
-        inner: backend that computes misses (default: a fresh
+        inner: evaluator that computes misses (default: a fresh
             :class:`InProcessEvaluator` with the same parameters).  When
             an inner evaluator is provided it is the source of truth for
             the engine parameters — passing an engine kwarg that
@@ -271,7 +252,7 @@ class CachedEvaluator(Evaluator):
                     "key must describe what the inner evaluator computes — "
                     "drop the overrides or set them on the inner evaluator"
                 )
-            # Adopt the inner backend's engine parameters wholesale.
+            # Adopt the inner evaluator's engine parameters wholesale.
             for name in _ENGINE_PARAMS:
                 kwargs[name] = getattr(inner, name)
         super().__init__(**kwargs)
@@ -281,7 +262,6 @@ class CachedEvaluator(Evaluator):
                 head_truncation=self.head_truncation,
                 substeps=self.substeps,
                 normalize=self.normalize,
-                backend=self.backend,
                 ledger=self.ledger,
             )
         self.inner = inner
@@ -300,7 +280,6 @@ class CachedEvaluator(Evaluator):
             head,
             self.substeps,
             self.normalize,
-            self.resolved_backend(),
             point,
         )
 

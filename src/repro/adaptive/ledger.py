@@ -15,7 +15,7 @@ instrumentation under the ``adaptive.`` namespace):
 counter                     meaning
 ==========================  ==================================================
 ``adaptive.evaluations``    oracle points actually evaluated (charged once
-                            per point, on whichever backend computed it)
+                            per point, on whichever evaluator computed it)
 ``adaptive.skipped``        dense-equivalent points the search did *not*
                             evaluate (dense cost minus actual cost, per query)
 ``adaptive.bisections``     bisection searches started

@@ -21,7 +21,7 @@ approximate**:
 
 ``tests/integration/test_adaptive_matrix.py`` (the oracle-equivalence
 tier) pins adaptive == dense for every query type on pinned scenarios
-across the in-process, cached, and distributed evaluator backends;
+across the in-process, cached, and distributed evaluators;
 ``tests/property/test_prop_adaptive.py`` proves the bisection cores on
 random synthetic oracles, including injected violations.
 
@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.adaptive.evaluators import Evaluator, InProcessEvaluator
+from repro.adaptive.evaluators import Evaluator
 from repro.adaptive.ledger import EvaluationLedger
-from repro.core.design import _SCAN_CHUNK
+from repro.core.design import _SCAN_CHUNK, _resolve_evaluator
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError
 from repro.experiments.sweeps import canonical_row
@@ -252,12 +252,6 @@ def _dense_last_meeting(
 # ---------------------------------------------------------------------------
 
 
-def _resolve(evaluator, truncation, backend) -> Evaluator:
-    if evaluator is not None:
-        return evaluator
-    return InProcessEvaluator(truncation=truncation, backend=backend)
-
-
 def _check_probability(required_probability: float) -> None:
     if not 0.0 < required_probability < 1.0:
         raise AnalysisError(
@@ -278,7 +272,6 @@ def adaptive_minimum_sensors(
     required_probability: float,
     max_sensors: int = 2_000,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator: Optional[Evaluator] = None,
     round_points: int = 1,
 ) -> Optional[int]:
@@ -292,7 +285,7 @@ def adaptive_minimum_sensors(
     _check_probability(required_probability)
     if max_sensors < 1:
         raise AnalysisError(f"max_sensors must be >= 1, got {max_sensors}")
-    ev = _resolve(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     oracle = MonotoneOracle(
         lambda indexes: ev.evaluate(
             scenario, [{"num_sensors": int(n)} for n in indexes]
@@ -317,7 +310,6 @@ def adaptive_maximum_threshold(
     scenario: Scenario,
     required_probability: float,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator: Optional[Evaluator] = None,
     round_points: int = 1,
 ) -> Optional[int]:
@@ -329,7 +321,7 @@ def adaptive_maximum_threshold(
     identical in answer by the oracle-equivalence tier.
     """
     _check_probability(required_probability)
-    ev = _resolve(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     ceiling = _threshold_ceiling(scenario)
     oracle = MonotoneOracle(
         lambda indexes: ev.evaluate(
@@ -350,7 +342,6 @@ def adaptive_rule_frontier(
     scenario: Scenario,
     targets: Sequence[float],
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator: Optional[Evaluator] = None,
     round_points: int = 1,
 ) -> List[dict]:
@@ -369,7 +360,7 @@ def adaptive_rule_frontier(
     targets = list(targets)
     for target in targets:
         _check_probability(target)
-    ev = _resolve(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     ceiling = _threshold_ceiling(scenario)
     oracle = MonotoneOracle(
         lambda indexes: ev.evaluate(
@@ -393,7 +384,6 @@ def dense_rule_frontier(
     scenario: Scenario,
     targets: Sequence[float],
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator: Optional[Evaluator] = None,
 ) -> List[dict]:
     """The dense reference for :func:`adaptive_rule_frontier`.
@@ -406,7 +396,7 @@ def dense_rule_frontier(
     targets = list(targets)
     for target in targets:
         _check_probability(target)
-    ev = _resolve(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     ceiling = _threshold_ceiling(scenario)
     thresholds = list(range(1, ceiling + 1))
     row = ev.grid(scenario, thresholds=thresholds)[0]
@@ -469,7 +459,6 @@ def adaptive_design_slice(
     sensing_ranges: Sequence[float],
     required_probability: float,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator: Optional[Evaluator] = None,
     round_points: int = 1,
 ) -> List[dict]:
@@ -492,7 +481,7 @@ def adaptive_design_slice(
     speeds = list(speeds)
     ranges = list(sensing_ranges)
     _validate_slice_axes(speeds, ranges)
-    ev = _resolve(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     before = ev.ledger.evaluations
     last = len(ranges) - 1
     rows = []
@@ -571,7 +560,6 @@ def dense_design_slice(
     sensing_ranges: Sequence[float],
     required_probability: float,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator: Optional[Evaluator] = None,
 ) -> List[dict]:
     """The dense reference for :func:`adaptive_design_slice`.
@@ -584,7 +572,7 @@ def dense_design_slice(
     speeds = list(speeds)
     ranges = list(sensing_ranges)
     _validate_slice_axes(speeds, ranges)
-    ev = _resolve(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     rows = []
     for speed in speeds:
         points = [

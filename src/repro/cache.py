@@ -16,8 +16,7 @@ region areas (Eq. 6-10)   ``sensing_range``, ``step_length`` (= V * t)
 ``window_regions``        the above + the window-prefix length
 batched report grids      ``sensing_range``, ``step_length``, ``window``,
                           ``field_area``, ``detect_prob``, truncations,
-                          substeps, resolved kernel backend + the
-                          ``N``-axis bytes (not ``k``)
+                          substeps + the ``N``-axis bytes (not ``k``)
 Monte Carlo area est.     ``sensing_range``, ``step_length``, periods,
                           samples, integer seed (uncached otherwise)
 ========================  ====================================================
@@ -410,18 +409,16 @@ def grid_key(
     head_truncation: int,
     substeps: int,
     num_sensors,
-    backend: str = "reference",
 ) -> Tuple:
     """Cache key for a batched report-count distribution stack.
 
     Keyed by everything the Eq. 12 chain depends on *except* the
     threshold: the region geometry (``Rs``, ``V * t``), the stage count
-    ``M``, the occupancy/detection parameters, the truncations, the
+    ``M``, the occupancy/detection parameters, the truncations, and the
     ``N`` axis itself (byte-exact, order included — rows of the cached
-    stack line up with the axis), and the resolved kernel ``backend``
-    (different kernels round differently, so their stacks must never
-    alias).  ``k`` is answered from the cached stack by a survival
-    lookup, so — as everywhere in this cache — it appears in no key.
+    stack line up with the axis).  ``k`` is answered from the cached
+    stack by a survival lookup, so — as everywhere in this cache — it
+    appears in no key.
     """
     counts = np.ascontiguousarray(num_sensors, dtype=int)
     return (
@@ -435,7 +432,6 @@ def grid_key(
         int(head_truncation),
         int(substeps),
         counts.tobytes(),
-        str(backend),
     )
 
 
@@ -445,7 +441,6 @@ def design_point_key(
     head_truncation: int,
     substeps: int,
     normalize: bool,
-    backend: str,
     point: dict,
 ) -> Tuple:
     """Cache key for one design-space oracle point (a scalar probability).
@@ -471,5 +466,4 @@ def design_point_key(
         int(head_truncation),
         int(substeps),
         bool(normalize),
-        str(backend),
     )

@@ -21,29 +21,27 @@ analysis factorises:
   scenario (a reverse cumulative sum), instead of one full pipeline per
   ``k``.
 
-Batch invariance and kernel backends
-------------------------------------
+Batch invariance and kernels
+----------------------------
 
 Every kernel reduction runs in a fixed per-row order that does not depend
 on the batch shape, so a grid evaluation and a sequence of singleton
 evaluations produce **bitwise identical** values row by row.
 ``repro.experiments.sweeps`` relies on this: its batched and per-point
 dispatch paths must produce byte-identical checkpoint and record JSON.
-The convolutions themselves are dispatched through
-:mod:`repro.core.kernels` under a ``backend=`` seam (``reference`` |
-``fft`` | ``auto``): every backend computes rows independently, so batch
-invariance holds under all of them, but only ``reference`` is
-bitwise-stable across releases — the FFT path re-associates the sums and
-agrees with the reference to its guarded round-off bound (< 1e-13 per
-call) instead.  Against the literal Eq. 12 matrix product
+The convolutions themselves are size-dispatched by
+:mod:`repro.core.kernels`: shift-and-add on narrow supports, a guarded
+FFT on wide ones.  Both kernels compute rows independently, so batch
+invariance holds whichever runs; the FFT re-associates the sums and
+agrees with shift-and-add to its guarded round-off bound (< 1e-13 per
+call).  Against the literal Eq. 12 matrix product
 (:mod:`repro.markov.oracle`, sequential ``math.lgamma`` stage pmfs) the
 agreement is to rounding error — ``tests/property/test_prop_batched.py``
 pins the deviation at 1e-12.
 
 The per-``N`` report-count distributions are memoized in
 :func:`repro.cache.analysis_cache` under :func:`repro.cache.grid_key`
-(thresholds excluded, as everywhere in the cache; the *resolved* backend
-included, so stacks from different kernels never alias), and each grid
+(thresholds excluded, as everywhere in the cache), and each grid
 evaluation counts its points into the active instrumentation's
 ``batch.points`` counter.
 """
@@ -58,12 +56,7 @@ from scipy.special import gammaln
 
 from repro import obs
 from repro.cache import cached_array, grid_key
-from repro.core.kernels import (
-    batch_convolve,
-    batch_convolve_power,
-    normalize_backend,
-    resolve_backend,
-)
+from repro.core.kernels import batch_convolve, batch_convolve_power
 from repro.core.regions import body_subareas, head_subareas, tail_subareas
 from repro.core.report_dist import conditional_report_pmf
 from repro.core.scenario import Scenario
@@ -162,14 +155,9 @@ class BatchedMarkovSpatialAnalysis:
     ``M > ms``; ``substeps`` is Section 3.4.5's NEDR-slicing refinement
     (see :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`).
 
-    ``backend`` selects the convolution kernel (see
-    :mod:`repro.core.kernels`): ``None`` (the default) defers to the
-    process-wide default at evaluation time, so a CLI-level
-    ``--backend`` choice reaches engines constructed anywhere below it.
-
     Raises:
-        AnalysisError: on invalid truncations, ``substeps < 1``,
-            ``M <= ms``, or an unknown ``backend`` name.
+        AnalysisError: on invalid truncations, ``substeps < 1``, or
+            ``M <= ms``.
     """
 
     def __init__(
@@ -178,7 +166,6 @@ class BatchedMarkovSpatialAnalysis:
         body_truncation: int = 3,
         head_truncation: Optional[int] = None,
         substeps: int = 1,
-        backend: Optional[str] = None,
     ):
         if body_truncation < 1:
             raise AnalysisError(
@@ -203,7 +190,6 @@ class BatchedMarkovSpatialAnalysis:
         self._g = body_truncation
         self._gh = head_truncation
         self._substeps = substeps
-        self._backend = normalize_backend(backend)
 
     # ------------------------------------------------------------------
     # Parameters
@@ -228,11 +214,6 @@ class BatchedMarkovSpatialAnalysis:
     def substeps(self) -> int:
         """NEDR slices per stage (Section 3.4.5's refinement)."""
         return self._substeps
-
-    @property
-    def backend(self) -> Optional[str]:
-        """The requested kernel backend (``None`` = process default)."""
-        return self._backend
 
     # ------------------------------------------------------------------
     # Stage pmf stacks
@@ -271,7 +252,6 @@ class BatchedMarkovSpatialAnalysis:
         subareas: np.ndarray,
         truncation: int,
         counts: np.ndarray,
-        backend: str,
     ) -> np.ndarray:
         """Stage pmf stack, optionally assembled from equal-probability slices.
 
@@ -292,7 +272,7 @@ class BatchedMarkovSpatialAnalysis:
         )
         combined = slice_pmf
         for _ in range(self._substeps - 1):
-            combined = batch_convolve(combined, slice_pmf, backend=backend)
+            combined = batch_convolve(combined, slice_pmf)
         return combined
 
     # ------------------------------------------------------------------
@@ -309,29 +289,23 @@ class BatchedMarkovSpatialAnalysis:
             return np.asarray([self._scenario.threshold], dtype=int)
         return _int_axis(thresholds, "thresholds", 0)
 
-    def _compute_distributions(
-        self, counts: np.ndarray, backend: str
-    ) -> np.ndarray:
+    def _compute_distributions(self, counts: np.ndarray) -> np.ndarray:
         scenario = self._scenario
         head = self._batched_stage_pmf(
-            head_subareas(scenario), self._gh, counts, backend
+            head_subareas(scenario), self._gh, counts
         )
         body = self._batched_stage_pmf(
-            body_subareas(scenario), self._g, counts, backend
+            body_subareas(scenario), self._g, counts
         )
         result = batch_convolve(
-            head,
-            batch_convolve_power(body, scenario.body_steps, backend=backend),
-            backend=backend,
+            head, batch_convolve_power(body, scenario.body_steps)
         )
         for tail_index in range(1, scenario.ms + 1):
             result = batch_convolve(
                 result,
                 self._batched_stage_pmf(
-                    tail_subareas(scenario, tail_index), self._g, counts,
-                    backend,
+                    tail_subareas(scenario, tail_index), self._g, counts
                 ),
-                backend=backend,
             )
         return result
 
@@ -339,24 +313,15 @@ class BatchedMarkovSpatialAnalysis:
         """``(B, L)`` stack of substochastic total-report-count pmfs.
 
         Row ``b`` is the Eq. 12 result distribution for
-        ``num_sensors[b]``; memoized per ``(geometry, N-axis, backend)``
-        in the process-wide analysis cache (read-only — copy before
-        mutating).  The backend is resolved here — ``None`` picks up the
-        process default at call time — and keyed into the cache so
-        stacks from different kernels never alias.
+        ``num_sensors[b]``; memoized per ``(geometry, N-axis)`` in the
+        process-wide analysis cache (read-only — copy before mutating).
         """
         counts = self._num_sensors_axis(num_sensors)
-        backend = resolve_backend(self._backend)
         return cached_array(
             grid_key(
-                self._scenario,
-                self._g,
-                self._gh,
-                self._substeps,
-                counts,
-                backend=backend,
+                self._scenario, self._g, self._gh, self._substeps, counts
             ),
-            lambda: self._compute_distributions(counts, backend),
+            lambda: self._compute_distributions(counts),
         )
 
     def survival_grid(self, num_sensors=None) -> np.ndarray:
@@ -460,7 +425,6 @@ def detection_probability_grid(
     head_truncation: Optional[int] = None,
     substeps: int = 1,
     normalize: bool = True,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Functional form of
     :meth:`BatchedMarkovSpatialAnalysis.detection_probability_grid`."""
@@ -469,7 +433,6 @@ def detection_probability_grid(
         body_truncation=body_truncation,
         head_truncation=head_truncation,
         substeps=substeps,
-        backend=backend,
     ).detection_probability_grid(
         num_sensors=num_sensors, thresholds=thresholds, normalize=normalize
     )

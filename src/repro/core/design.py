@@ -18,9 +18,6 @@ the point cache or the distributed fleet, and charges their dense cost
 to the evaluator's ledger — which is how the oracle-equivalence tier
 compares them against :mod:`repro.adaptive.search`, the bisection layer
 that answers these queries exactly from O(log) points.
-Every search accepts an optional ``backend=`` (see
-:mod:`repro.core.kernels`), forwarded to the batched engine; ``None``
-defers to the process-wide default.
 """
 
 from __future__ import annotations
@@ -51,8 +48,8 @@ __all__ = [
 _SCAN_CHUNK = 128
 
 
-def _resolve_evaluator(evaluator, truncation, backend):
-    """The oracle backend a scan evaluates through (default: in-process).
+def _resolve_evaluator(evaluator, truncation):
+    """The oracle a scan or search evaluates through (default: in-process).
 
     Imported lazily: :mod:`repro.adaptive` depends on this module for
     the dense-scan semantics its fallbacks replicate, so the evaluator
@@ -62,14 +59,10 @@ def _resolve_evaluator(evaluator, truncation, backend):
         return evaluator
     from repro.adaptive.evaluators import InProcessEvaluator
 
-    return InProcessEvaluator(truncation=truncation, backend=backend)
+    return InProcessEvaluator(truncation=truncation)
 
 
-def detection_probability(
-    scenario: Scenario,
-    truncation: int = 3,
-    backend: Optional[str] = None,
-) -> float:
+def detection_probability(scenario: Scenario, truncation: int = 3) -> float:
     """Model detection probability for a scenario (M-S-approach, Eq. 13).
 
     Evaluated on the batched kernel (singleton grid), so design-layer
@@ -77,7 +70,7 @@ def detection_probability(
     :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`.
     """
     return BatchedMarkovSpatialAnalysis(
-        scenario, body_truncation=truncation, backend=backend
+        scenario, body_truncation=truncation
     ).detection_probability()
 
 
@@ -86,7 +79,6 @@ def minimum_sensors(
     required_probability: float,
     max_sensors: int = 2_000,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator=None,
 ) -> Optional[int]:
     """Smallest ``N`` whose detection probability meets the requirement.
@@ -115,7 +107,7 @@ def minimum_sensors(
         )
     if max_sensors < 1:
         raise AnalysisError(f"max_sensors must be >= 1, got {max_sensors}")
-    ev = _resolve_evaluator(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     for start in range(1, max_sensors + 1, _SCAN_CHUNK):
         counts = list(range(start, min(start + _SCAN_CHUNK, max_sensors + 1)))
         column = np.asarray(ev.grid(scenario, num_sensors=counts))[:, 0]
@@ -129,7 +121,6 @@ def maximum_threshold(
     scenario: Scenario,
     required_probability: float,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator=None,
 ) -> Optional[int]:
     """Largest ``k`` (false-alarm immunity) still meeting the requirement.
@@ -147,7 +138,7 @@ def maximum_threshold(
     thresholds = list(
         range(1, scenario.num_sensors * (scenario.ms + 1) + 1)
     )
-    ev = _resolve_evaluator(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     row = np.asarray(ev.grid(scenario, thresholds=thresholds))[0]
     failing = np.flatnonzero(row < required_probability)
     if failing.size == 0:
@@ -181,7 +172,6 @@ def design_deployment(
     max_window_fa_probability: float,
     max_sensors: int = 2_000,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator=None,
 ) -> Optional[DesignPoint]:
     """Joint design: smallest ``N`` with the FA-safe ``k`` meeting detection.
@@ -212,7 +202,7 @@ def design_deployment(
         for count in counts
     ]
     distinct = sorted(set(thresholds))
-    ev = _resolve_evaluator(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     grid = np.asarray(ev.grid(template, num_sensors=counts, thresholds=distinct))
     column_of = {threshold: j for j, threshold in enumerate(distinct)}
     for i, (count, threshold) in enumerate(zip(counts, thresholds)):
@@ -236,7 +226,6 @@ def rule_frontier(
     scenario: Scenario,
     thresholds: range,
     truncation: int = 3,
-    backend: Optional[str] = None,
     evaluator=None,
 ) -> List[DesignPoint]:
     """Detection probability along a sweep of ``k`` (fixed ``N``, ``M``).
@@ -261,7 +250,7 @@ def rule_frontier(
             raise AnalysisError(f"thresholds must be >= 1, got {k}")
     if not ks:
         return []
-    ev = _resolve_evaluator(evaluator, truncation, backend)
+    ev = _resolve_evaluator(evaluator, truncation)
     row = np.asarray(ev.grid(scenario, thresholds=ks))[0]
     return [
         DesignPoint(

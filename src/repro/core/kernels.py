@@ -1,43 +1,35 @@
-"""Convolution kernel backends: the raw-speed tier under the batched engine.
+"""Convolution kernels: the raw-speed tier under the batched engine.
 
 :mod:`repro.core.batched` evaluates Eq. 12 as a chain of row-wise pmf
-convolutions.  This module owns those convolutions and the ``backend=``
-seam that selects *how* they run:
+convolutions.  This module owns those convolutions and the one policy
+that decides *how* each runs, from the operands alone:
 
-``reference``
-    The fixed-reduction-order shift-and-add loop.  Every output element
-    accumulates its terms in ascending-shift order, independent of the
-    batch shape, so it is **bitwise batch-invariant** — the conformance
-    oracle every other backend is tested against, and the backend that
-    reproduces the PR 5 goldens exactly.
-``fft``
-    Real-FFT convolution (``rfft``/``irfft`` on a
-    :func:`scipy.fft.next_fast_len` grid): ``O(B L log L)`` instead of
-    the shift-and-add ``O(B n_short L)``.  Still per-row, so still batch
-    invariant — but it *re-associates* the sums, so agreement with
-    ``reference`` is to rounding, not bitwise.  An a-priori round-off
-    bound (:func:`fft_roundoff_bound`) guards every call: when the bound
-    exceeds :data:`FFT_GUARD_ATOL` the call silently falls back to the
-    reference loop (counted in ``kernel.fallbacks``), so the FFT path
-    can never deviate from the reference by more than the guard allows.
-``auto``
-    Size-dispatched: shift-and-add below :data:`FFT_MIN_WIDTH` (small
-    supports stay bitwise-stable *and* are faster that way), FFT above
-    it.  The process-wide default.
+* below :data:`FFT_MIN_WIDTH` (the shorter operand's support) the
+  fixed-reduction-order shift-and-add loop: every output element
+  accumulates its terms in ascending-shift order, independent of the
+  batch shape, so it is **bitwise batch-invariant** — and faster than
+  the FFT at these widths;
+* at or above it, a real-FFT convolution (``rfft``/``irfft`` on a
+  :func:`scipy.fft.next_fast_len` grid): ``O(B L log L)`` instead of
+  ``O(B n_short L)``.  Still per-row, so still batch invariant, but it
+  *re-associates* the sums, so agreement with the shift-and-add loop is
+  to rounding, not bitwise.  An a-priori round-off bound
+  (:func:`fft_roundoff_bound`) guards every such call: when the bound
+  exceeds :data:`FFT_GUARD_ATOL` the call falls back to the loop
+  (counted in ``kernel.fallbacks``).
 
-The process-wide default backend (:func:`set_default_backend`, surfaced
-as the CLI's ``--backend``) is what
-:class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` uses when
-constructed without an explicit ``backend=``.  Dispatch decisions are
-counted into the active instrumentation: ``kernel.fft_dispatch`` (calls
-routed to the FFT) and ``kernel.fallbacks`` (guard-triggered reference
-fallbacks) — see ``docs/observability.md``.
+The two kernels themselves (:func:`_convolve_reference`,
+:func:`_convolve_fft`) are the test oracles; tests reach the pure loop
+or the guarded FFT everywhere by patching :data:`FFT_MIN_WIDTH` to
+``sys.maxsize`` or ``0``.  Dispatch decisions are counted into the
+active instrumentation: ``kernel.fft_dispatch`` (calls routed to the
+FFT) and ``kernel.fallbacks`` (guard-triggered fallbacks) — see
+``docs/observability.md``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -45,28 +37,15 @@ from repro import obs
 from repro.errors import AnalysisError
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "FFT_GUARD_ATOL",
     "FFT_MIN_WIDTH",
-    "KERNEL_BACKENDS",
     "batch_convolve",
     "batch_convolve_power",
     "fft_roundoff_bound",
-    "get_default_backend",
-    "normalize_backend",
-    "resolve_backend",
-    "set_default_backend",
 ]
 
-#: Every selectable backend name.  ``auto`` and ``fft`` are dispatch
-#: policies over the two real kernels.
-KERNEL_BACKENDS = ("auto", "reference", "fft")
-
-#: The process-wide default policy.
-DEFAULT_BACKEND = "auto"
-
-#: ``auto`` routes a convolution to the FFT only when *both* operands'
-#: supports reach this width.  The shift-and-add loop costs
+#: A convolution goes to the FFT only when *both* operands' supports
+#: reach this width.  The shift-and-add loop costs
 #: ``O(B * n_short * L)`` and the FFT ``O(B * L log L)``, so the shorter
 #: operand's width is the quantity the crossover depends on; below it the
 #: reference loop is both faster and bitwise-stable.
@@ -79,46 +58,6 @@ FFT_MIN_WIDTH = 64
 #: FFT-backed result within an order of magnitude below the engine's
 #: 1e-12 conformance contract.
 FFT_GUARD_ATOL = 1e-13
-
-_default_backend = DEFAULT_BACKEND
-
-
-def normalize_backend(backend: Optional[str]) -> Optional[str]:
-    """Validate a backend name; ``None`` (inherit the default) passes through.
-
-    Raises:
-        AnalysisError: for a name not in :data:`KERNEL_BACKENDS`.
-    """
-    if backend is None:
-        return None
-    if backend not in KERNEL_BACKENDS:
-        raise AnalysisError(
-            f"unknown kernel backend {backend!r}; choose from "
-            f"{list(KERNEL_BACKENDS)}"
-        )
-    return backend
-
-
-def set_default_backend(backend: str) -> None:
-    """Set the process-wide default backend (the CLI's ``--backend``)."""
-    global _default_backend
-    if backend is None or backend not in KERNEL_BACKENDS:
-        raise AnalysisError(
-            f"unknown kernel backend {backend!r}; choose from "
-            f"{list(KERNEL_BACKENDS)}"
-        )
-    _default_backend = backend
-
-
-def get_default_backend() -> str:
-    """The process-wide default backend name."""
-    return _default_backend
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a request to a concrete policy: ``None`` is the process default."""
-    choice = normalize_backend(backend)
-    return _default_backend if choice is None else choice
 
 
 def _validated_stacks(a, b):
@@ -182,30 +121,21 @@ def _convolve_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_convolve(
-    a: np.ndarray, b: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
-    """Row-wise convolution of two pmf stacks under the selected backend.
+def batch_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise convolution of two pmf stacks, size-dispatched.
 
     Both inputs are ``(B, *)`` stacks; the result is ``(B, a_len + b_len
-    - 1)``.  Every backend computes each row independently, so the result
-    is batch-invariant under all of them; only ``reference`` is
-    bitwise-stable, while the FFT path agrees with it to the
+    - 1)``.  Shift-and-add when the shorter support is below
+    :data:`FFT_MIN_WIDTH`, else the guarded FFT (see the module
+    docstring).  Both kernels compute each row independently, so the
+    result is batch-invariant; the FFT path agrees with the loop to the
     :func:`fft_roundoff_bound` guard.
 
-    Args:
-        a / b: the operand stacks (equal row counts).
-        backend: one of :data:`KERNEL_BACKENDS`, or ``None`` for the
-            process default (:func:`get_default_backend`).
-
     Raises:
-        AnalysisError: on malformed stacks or an unknown backend name.
+        AnalysisError: on malformed stacks.
     """
     a, b = _validated_stacks(a, b)
-    choice = resolve_backend(backend)
-    if choice == "reference":
-        return _convolve_reference(a, b)
-    if choice == "auto" and b.shape[1] < FFT_MIN_WIDTH:
+    if b.shape[1] < FFT_MIN_WIDTH:
         return _convolve_reference(a, b)
     ob = obs.current()
     bound = fft_roundoff_bound(a, b)
@@ -218,15 +148,13 @@ def batch_convolve(
     return _convolve_fft(a, b)
 
 
-def batch_convolve_power(
-    base: np.ndarray, power: int, backend: Optional[str] = None
-) -> np.ndarray:
+def batch_convolve_power(base: np.ndarray, power: int) -> np.ndarray:
     """Row-wise ``power``-fold self-convolution by binary exponentiation.
 
     The batched counterpart of
     :func:`repro.core.report_dist.convolution_power`: ``O(log power)``
     stacked convolutions instead of ``power`` sequential ones, each
-    dispatched through :func:`batch_convolve` under ``backend``.
+    dispatched through :func:`batch_convolve`.
     ``power == 0`` returns the unit pmf ``[1.0]`` in every row.
     """
     if power < 0:
@@ -239,8 +167,8 @@ def batch_convolve_power(
     result = np.ones((base.shape[0], 1))
     while power:
         if power & 1:
-            result = batch_convolve(result, base, backend=backend)
+            result = batch_convolve(result, base)
         power >>= 1
         if power:
-            base = batch_convolve(base, base, backend=backend)
+            base = batch_convolve(base, base)
     return result

@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batched import BatchedMarkovSpatialAnalysis
-from repro.core.kernels import resolve_backend
 from repro.core.regions import body_subareas, head_subareas, tail_subareas
 
 __all__ = ["MarkovSpatialAnalysis"]
@@ -52,8 +51,6 @@ class MarkovSpatialAnalysis(BatchedMarkovSpatialAnalysis):
             sketches ("further dividing the computation in that step into
             multiple substeps") to reach a given accuracy with a smaller
             per-slice truncation.  1 (default) is the paper's base method.
-        backend: convolution kernel, as on
-            :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis`.
 
     Raises:
         AnalysisError: on invalid truncations, ``substeps < 1``, or
@@ -66,8 +63,7 @@ class MarkovSpatialAnalysis(BatchedMarkovSpatialAnalysis):
 
     def _stage_row(self, subareas: np.ndarray, truncation: int) -> np.ndarray:
         counts = np.asarray([self._scenario.num_sensors])
-        backend = resolve_backend(self._backend)
-        return self._batched_stage_pmf(subareas, truncation, counts, backend)[0]
+        return self._batched_stage_pmf(subareas, truncation, counts)[0]
 
     def head_stage_pmf(self) -> np.ndarray:
         """``p_{h:m}``: report pmf of the Head NEDR (substochastic)."""

@@ -146,6 +146,7 @@ class SweepCoordinator:
         self._stats_seen = {"shards": 0, "steals": 0}
         self._connections: Dict[str, _Connection] = {}
         self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
         self._threads: List[threading.Thread] = []
         self._done = threading.Event()
         self._closing = False
@@ -200,11 +201,10 @@ class SweepCoordinator:
         listener.bind(self._bind)
         listener.listen(32)
         self._listener = listener
-        accept = threading.Thread(
+        self._accept_thread = threading.Thread(
             target=self._accept_loop, name="dist-accept", daemon=True
         )
-        accept.start()
-        self._threads.append(accept)
+        self._accept_thread.start()
         return self
 
     def wait(self, timeout: Optional[float] = None) -> List[Dict[str, Any]]:
@@ -234,10 +234,18 @@ class SweepCoordinator:
     def _close(self, drain: bool) -> None:
         self._closing = True
         if self._listener is not None:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does, so the accept thread can exit.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
                 pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(5.0)
         with self._lock:
             connections = list(self._connections.values())
         for connection in connections:

@@ -1,4 +1,4 @@
-"""The distributed fleet as an adaptive-search oracle backend.
+"""The distributed fleet as an adaptive-search oracle.
 
 Each batch an adaptive search requests becomes one small work-stealing
 sweep on a :class:`repro.distributed.LocalFleet`: the points are leased
@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.adaptive.evaluators import Evaluator, Point
 from repro.core.scenario import Scenario
 from repro.distributed.orchestrator import distributed_sweep
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, require_count
 
 __all__ = ["FleetEvaluator"]
 
@@ -37,10 +37,8 @@ class FleetEvaluator(Evaluator):
         host / port: coordinator bind address (port 0 = ephemeral).
 
     Other keyword arguments are the :class:`repro.adaptive.Evaluator`
-    engine parameters.  ``backend`` must be left at ``None``: the sweep
-    spec carries no kernel-backend field, so workers always resolve the
-    process default — accepting an override here would silently diverge
-    from what the fleet computes.
+    engine parameters; the sweep spec carries each of them to the
+    workers.
     """
 
     name = "fleet"
@@ -53,14 +51,10 @@ class FleetEvaluator(Evaluator):
         port: int = 0,
         **kwargs,
     ):
-        if kwargs.get("backend") is not None:
-            raise AnalysisError(
-                "FleetEvaluator cannot honour a kernel backend override; "
-                "workers resolve their own process default"
-            )
-        super().__init__(**kwargs)
+        require_count("workers", workers, AnalysisError)
         if workers < 1:
             raise AnalysisError(f"workers must be >= 1, got {workers}")
+        super().__init__(**kwargs)
         self.workers = workers
         self.timeout = timeout
         self.host = host

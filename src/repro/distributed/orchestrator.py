@@ -22,7 +22,7 @@ import os
 import signal
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_count
 from repro.distributed.coordinator import SweepCoordinator
 from repro.distributed.worker import worker_main
 
@@ -55,6 +55,7 @@ class LocalFleet:
         port: int = 0,
         on_progress: Optional[Callable[[int, int], None]] = None,
     ) -> None:
+        require_count("workers", workers, SimulationError)
         if workers < 1:
             raise SimulationError(f"workers must be >= 1, got {workers}")
         self.coordinator = SweepCoordinator(
@@ -178,8 +179,8 @@ def distributed_sweep(
         port=port,
         on_progress=on_progress,
     )
-    fleet.start()
     try:
+        fleet.start()
         return fleet.join(timeout)
     finally:
         fleet.terminate()

@@ -452,14 +452,6 @@ def _shared_options(suppress_defaults: bool = False) -> argparse.ArgumentParser:
         help="print a per-stage wall/CPU profile and counter summary to "
         "stderr after the run",
     )
-    parent.add_argument(
-        "--backend",
-        choices=("auto", "reference", "fft"),
-        default=default("auto"),
-        help="convolution kernel backend for the analytical engine "
-        "(default: auto — FFT for large supports, exact shift-and-add "
-        "otherwise; 'reference' is bitwise-stable across releases)",
-    )
     return parent
 
 
@@ -727,12 +719,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The process-wide default reaches every engine constructed below the
-    # dispatch (sweeps, design searches, service workers on platforms
-    # that fork); engines built with an explicit backend= are unaffected.
-    from repro.core.kernels import set_default_backend
-
-    set_default_backend(getattr(args, "backend", "auto"))
     trace = getattr(args, "trace", None)
     profile = bool(getattr(args, "profile", False))
     if trace is None and not profile:

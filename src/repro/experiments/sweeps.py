@@ -325,22 +325,8 @@ def grid_sweep(
     Returns:
         Rows in row-major (first key slowest) order.
     """
-    names = list(grids)
-    points: List[Dict[str, Any]] = []
-
-    def recurse(index: int, bound: Dict[str, Any]) -> None:
-        if index == len(names):
-            points.append(dict(bound))
-            return
-        name = names[index]
-        for value in grids[name]:
-            bound[name] = value
-            recurse(index + 1, bound)
-        del bound[name]
-
-    recurse(0, {})
     return _run_points(
-        points,
+        _grid_points(grids),
         compute,
         workers=workers,
         kwargs_items=True,
@@ -351,7 +337,7 @@ def grid_sweep(
 
 
 def _grid_points(grids: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
-    """Row-major cartesian points, exactly as :func:`grid_sweep` builds them."""
+    """Row-major cartesian points (first key slowest)."""
     names = list(grids)
     points: List[Dict[str, Any]] = []
 
@@ -367,6 +353,18 @@ def _grid_points(grids: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
 
     recurse(0, {})
     return points
+
+
+def _check_scenario_grids(scenario: Any, grids: Dict[str, Any]) -> None:
+    """Reject an empty grid or a field the scenario does not have."""
+    if not grids:
+        raise AnalysisError("grids must name at least one scenario field")
+    unknown = [name for name in grids if not hasattr(scenario, name)]
+    if unknown:
+        raise AnalysisError(
+            f"unknown scenario field(s) {unknown}; sweepable fields are "
+            "the Scenario dataclass fields"
+        )
 
 
 def _analytical_point(
@@ -445,16 +443,7 @@ def analytical_grid_sweep(
         AnalysisError: for a field the scenario does not have, or
             ``batch=True`` with a non-batchable axis.
     """
-    if not grids:
-        raise AnalysisError("grids must name at least one scenario field")
-    unknown = [
-        name for name in grids if not hasattr(scenario, name)
-    ]
-    if unknown:
-        raise AnalysisError(
-            f"unknown scenario field(s) {unknown}; sweepable fields are "
-            "the Scenario dataclass fields"
-        )
+    _check_scenario_grids(scenario, grids)
     batchable = all(name in BATCHED_FIELDS for name in grids)
     if batch is True and not batchable:
         blocking = sorted(set(grids) - set(BATCHED_FIELDS))
@@ -605,14 +594,7 @@ def simulated_grid_sweep(
         SimulationError: ``fused=True`` with a non-fusable axis, or
             invalid simulation parameters.
     """
-    if not grids:
-        raise AnalysisError("grids must name at least one scenario field")
-    unknown = [name for name in grids if not hasattr(scenario, name)]
-    if unknown:
-        raise AnalysisError(
-            f"unknown scenario field(s) {unknown}; sweepable fields are "
-            "the Scenario dataclass fields"
-        )
+    _check_scenario_grids(scenario, grids)
     fusable = all(name in BATCHED_FIELDS for name in grids)
     if fused is True and not fusable:
         blocking = sorted(set(grids) - set(BATCHED_FIELDS))
@@ -737,14 +719,7 @@ def distributed_grid_sweep(
         AnalysisError: unknown grid fields or an unknown ``kind``.
         SimulationError: the fleet failed to complete the sweep.
     """
-    if not grids:
-        raise AnalysisError("grids must name at least one scenario field")
-    unknown = [name for name in grids if not hasattr(scenario, name)]
-    if unknown:
-        raise AnalysisError(
-            f"unknown scenario field(s) {unknown}; sweepable fields are "
-            "the Scenario dataclass fields"
-        )
+    _check_scenario_grids(scenario, grids)
     if kind == "analytical":
         spec: Dict[str, Any] = {
             "kind": "analytical",

@@ -70,7 +70,7 @@ from typing import Any, Callable, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_count
 
 __all__ = [
     "available_workers",
@@ -93,8 +93,7 @@ def available_workers() -> int:
 
 
 def _validate_workers(workers: int) -> int:
-    if not isinstance(workers, (int, np.integer)):
-        raise SimulationError(f"workers must be an integer, got {workers!r}")
+    require_count("workers", workers, SimulationError)
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
     return int(workers)

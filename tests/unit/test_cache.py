@@ -191,7 +191,6 @@ class TestCacheKeys:
         assert key != grid_key(base, 4, 3, 1, [120])
         assert key != grid_key(base, 3, 4, 1, [120])
         assert key != grid_key(base, 3, 3, 2, [120])
-        assert key != grid_key(base, 3, 3, 1, [120], backend="fft")
 
 
 class TestAnalysisLayerCaching:

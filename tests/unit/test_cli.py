@@ -197,24 +197,12 @@ class TestObservability:
 
 
 class TestBackendOption:
-    def test_backend_parses_with_default(self):
-        args = build_parser().parse_args(["fig8"])
-        assert getattr(args, "backend", "auto") == "auto"
-        args = build_parser().parse_args(
-            ["--backend", "reference", "truncation"]
-        )
-        assert args.backend == "reference"
-
     def test_backend_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig8", "--backend", "blas"])
-
-    def test_backend_option_sets_process_default(self, capsys):
-        from repro.core.kernels import get_default_backend, set_default_backend
-
-        previous = get_default_backend()
-        try:
-            assert main(["truncation", "--backend", "reference"]) == 0
-            assert get_default_backend() == "reference"
-        finally:
-            set_default_backend(previous)
+        # The convolution policy is not user-selectable: no --backend flag.
+        for argv in (
+            ["--backend", "fft", "truncation"],
+            ["truncation", "--backend", "fft"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2

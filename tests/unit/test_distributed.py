@@ -13,15 +13,28 @@ import threading
 
 import pytest
 
+from repro.adaptive import adaptive_minimum_sensors
 from repro.distributed import (
+    FleetEvaluator,
     LeaseBook,
+    LocalFleet,
     SweepCoordinator,
+    distributed_sweep,
     run_worker,
     resolve_spec,
 )
-from repro.distributed import protocol
-from repro.errors import ProtocolError, SimulationError, StreamError
-from repro.experiments.sweeps import _points_fingerprint
+from repro.distributed import orchestrator, protocol
+from repro.errors import (
+    AnalysisError,
+    ProtocolError,
+    SimulationError,
+    StreamError,
+)
+from repro.experiments.sweeps import (
+    _points_fingerprint,
+    distributed_grid_sweep,
+)
+from repro.parallel import parallel_map, split_trials
 
 
 def double_point(**point):
@@ -390,3 +403,65 @@ class TestCoordinatorSocket:
             sock.close()
         finally:
             coordinator.close()
+
+
+def _new_threads(before):
+    """Live threads that were not alive in ``before``."""
+    return [thread for thread in threading.enumerate() if thread not in before]
+
+
+class TestFleetLifecycle:
+    """Every fleet tears its coordinator down: no ``dist-accept`` thread
+    outlives the sweep, whether it finished, failed to start, or was
+    refused before it began."""
+
+    def test_distributed_sweep_leaves_no_accept_thread(self, small):
+        before = threading.enumerate()
+        rows = distributed_grid_sweep(
+            small, {"num_sensors": [20, 40]}, workers=2
+        )
+        assert len(rows) == 2
+        assert [t.name for t in _new_threads(before)] == []
+
+    def test_fleet_evaluated_query_leaves_no_accept_thread(self, small):
+        before = threading.enumerate()
+        answer = adaptive_minimum_sensors(
+            small,
+            0.9,
+            max_sensors=200,
+            evaluator=FleetEvaluator(workers=2),
+            round_points=3,
+        )
+        assert answer is not None
+        assert [t.name for t in _new_threads(before)] == []
+
+    def test_failed_start_tears_the_fleet_down(self, monkeypatch):
+        class NoSpawnContext:
+            def Process(self, *args, **kwargs):
+                raise OSError("spawn refused")
+
+        monkeypatch.setattr(
+            orchestrator.multiprocessing, "get_context", NoSpawnContext
+        )
+        before = threading.enumerate()
+        with pytest.raises(OSError, match="spawn refused"):
+            distributed_sweep([{"x": 1}], DOUBLE_SPEC, workers=2)
+        assert [t.name for t in _new_threads(before)] == []
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2"])
+    def test_non_integer_workers_rejected_before_binding(self, small, workers):
+        before = threading.enumerate()
+        match = "workers must be an integer"
+        with pytest.raises(SimulationError, match=match):
+            distributed_grid_sweep(
+                small, {"num_sensors": [20]}, workers=workers
+            )
+        with pytest.raises(SimulationError, match=match):
+            LocalFleet([{"x": 1}], DOUBLE_SPEC, workers=workers)
+        with pytest.raises(AnalysisError, match=match):
+            FleetEvaluator(workers=workers)
+        with pytest.raises(SimulationError, match=match):
+            split_trials(10, workers)
+        with pytest.raises(SimulationError, match=match):
+            parallel_map(abs, [1, 2], workers=workers)
+        assert [t.name for t in _new_threads(before)] == []

@@ -1,44 +1,57 @@
-"""Unit tests for repro.core.kernels — the backend registry and FFT path.
+"""Unit tests for repro.core.kernels — the size-dispatched convolution.
 
-Covers the backend seam's contracts:
+Covers the dispatch policy's contracts:
 
-* registry validation and process-wide default get/set;
-* FFT-vs-reference conformance on adversarial stacks (tiny supports,
-  near-zero mass rows, mixed-magnitude pmfs);
-* the a-priori round-off guard and its ``kernel.fallbacks`` /
-  ``kernel.fft_dispatch`` counters;
-* the PR 5 golden grids reproduced **bitwise** under
-  ``backend='reference'``.
+* FFT-vs-shift-and-add conformance on adversarial stacks (tiny
+  supports, near-zero mass rows, mixed-magnitude pmfs);
+* the width dispatch, the a-priori round-off guard and its
+  ``kernel.fallbacks`` / ``kernel.fft_dispatch`` counters;
+* the committed golden grids reproduced **bitwise** by the pure
+  shift-and-add loop (``FFT_MIN_WIDTH`` patched to ``sys.maxsize``), and
+  within 1e-12 by the shipped policy.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.cache import clear_analysis_cache
+from repro.core import kernels
 from repro.core.batched import BatchedMarkovSpatialAnalysis
 from repro.core.kernels import (
     FFT_GUARD_ATOL,
     FFT_MIN_WIDTH,
-    KERNEL_BACKENDS,
+    _convolve_fft,
+    _convolve_reference,
     batch_convolve,
     batch_convolve_power,
     fft_roundoff_bound,
-    get_default_backend,
-    normalize_backend,
-    resolve_backend,
-    set_default_backend,
 )
 from repro.errors import AnalysisError
 from repro.experiments.presets import onr_scenario, small_scenario
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend_state():
-    """Restore the process default backend per test."""
-    previous = get_default_backend()
+@pytest.fixture
+def fresh_cache():
+    """Cold analysis cache in and out: the cache key has no kernel slot,
+    so stacks computed under a patched ``FFT_MIN_WIDTH`` must not leak."""
+    clear_analysis_cache()
     yield
-    set_default_backend(previous)
+    clear_analysis_cache()
+
+
+def _engine_grid(scenario, min_width, monkeypatch, axes):
+    """An engine grid under ``FFT_MIN_WIDTH = min_width``, from a cold cache."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "FFT_MIN_WIDTH", min_width)
+        clear_analysis_cache()
+        grid = BatchedMarkovSpatialAnalysis(
+            scenario
+        ).detection_probability_grid(**axes)
+    clear_analysis_cache()
+    return grid
 
 
 def _pmf_stack(rng, rows, width):
@@ -47,46 +60,19 @@ def _pmf_stack(rng, rows, width):
 
 
 class TestRegistry:
-    def test_registry_names(self):
-        assert KERNEL_BACKENDS == ("auto", "reference", "fft")
-
-    def test_normalize_accepts_known_and_none(self):
-        for name in KERNEL_BACKENDS:
-            assert normalize_backend(name) == name
-        assert normalize_backend(None) is None
-
-    def test_normalize_rejects_unknown(self):
-        with pytest.raises(AnalysisError, match="unknown kernel backend"):
-            normalize_backend("blas")
-
-    def test_default_backend_roundtrip(self):
-        assert get_default_backend() == "auto"
-        set_default_backend("reference")
-        assert get_default_backend() == "reference"
-        # None resolves to the new process default.
-        assert resolve_backend(None) == "reference"
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(AnalysisError, match="unknown kernel backend"):
-            set_default_backend("vulkan")
-        with pytest.raises(AnalysisError, match="unknown kernel backend"):
-            set_default_backend(None)
-
-    def test_available_backends_always_has_core_trio(self):
-        for name in ("auto", "reference", "fft"):
-            assert resolve_backend(name) == name
+    """There is no kernel registry: the dispatch policy is not selectable."""
 
     def test_unknown_backend_rejected_at_convolve(self):
         a = np.ones((1, 3))
-        with pytest.raises(AnalysisError, match="unknown kernel backend"):
-            batch_convolve(a, a, backend="blas")
+        with pytest.raises(TypeError):
+            batch_convolve(a, a, backend="fft")
 
 
 class TestReferenceKernel:
     def test_matches_numpy_convolve_per_row(self, rng):
         a = rng.random((4, 9))
         b = rng.random((4, 5))
-        out = batch_convolve(a, b, backend="reference")
+        out = _convolve_reference(a, b)
         for row in range(4):
             np.testing.assert_allclose(
                 out[row], np.convolve(a[row], b[row]), atol=1e-15
@@ -95,20 +81,15 @@ class TestReferenceKernel:
     def test_batch_invariance_bitwise(self, rng):
         a = _pmf_stack(rng, 6, 31)
         b = _pmf_stack(rng, 6, 17)
-        full = batch_convolve(a, b, backend="reference")
+        full = _convolve_reference(a, b)
         for row in range(6):
-            single = batch_convolve(
-                a[row : row + 1], b[row : row + 1], backend="reference"
-            )
+            single = _convolve_reference(a[row : row + 1], b[row : row + 1])
             assert (single[0] == full[row]).all()
 
     def test_operand_order_symmetric(self, rng):
         a = rng.random((3, 20))
         b = rng.random((3, 7))
-        assert (
-            batch_convolve(a, b, backend="reference")
-            == batch_convolve(b, a, backend="reference")
-        ).all()
+        assert (batch_convolve(a, b) == batch_convolve(b, a)).all()
 
     def test_shape_validation(self):
         with pytest.raises(AnalysisError, match="two \\(B, n\\) stacks"):
@@ -118,7 +99,7 @@ class TestReferenceKernel:
 
 
 class TestFFTConformance:
-    """FFT-vs-reference agreement on adversarial stacks (satellite c)."""
+    """FFT-vs-shift-and-add agreement on adversarial stacks."""
 
     def test_tiny_supports(self):
         # Length-1 and length-2 operands: degenerate FFT grids.
@@ -134,8 +115,8 @@ class TestFFTConformance:
             ),
         ]
         for a, b in cases:
-            ref = batch_convolve(a, b, backend="reference")
-            fft = batch_convolve(a, b, backend="fft")
+            ref = _convolve_reference(a, b)
+            fft = _convolve_fft(a, b)
             assert np.abs(fft - ref).max() <= 1e-12
 
     def test_near_zero_mass_rows(self, rng):
@@ -143,8 +124,8 @@ class TestFFTConformance:
         b = _pmf_stack(rng, 3, 70)
         a[0] *= 1e-300  # sub-normal-adjacent mass
         a[1] = 0.0  # no mass at all
-        ref = batch_convolve(a, b, backend="reference")
-        fft = batch_convolve(a, b, backend="fft")
+        ref = _convolve_reference(a, b)
+        fft = _convolve_fft(a, b)
         assert np.abs(fft - ref).max() <= 1e-12
         assert (fft[1] == 0.0).all()
 
@@ -156,30 +137,29 @@ class TestFFTConformance:
         a = np.stack([decades, decades[::-1], _pmf_stack(rng, 1, width)[0]])
         a = a / a.sum(axis=1, keepdims=True)
         b = _pmf_stack(rng, 3, width)
-        ref = batch_convolve(a, b, backend="reference")
-        fft = batch_convolve(a, b, backend="fft")
+        ref = _convolve_reference(a, b)
+        fft = _convolve_fft(a, b)
         assert np.abs(fft - ref).max() <= 1e-12
 
     def test_fft_clamps_roundoff_negatives(self, rng):
         a = _pmf_stack(rng, 4, 128)
         b = _pmf_stack(rng, 4, 128)
-        out = batch_convolve(a, b, backend="fft")
+        out = _convolve_fft(a, b)
         assert (out >= 0.0).all()
 
     def test_fft_batch_invariance(self, rng):
         a = _pmf_stack(rng, 5, 90)
         b = _pmf_stack(rng, 5, 90)
-        full = batch_convolve(a, b, backend="fft")
+        full = _convolve_fft(a, b)
         for row in range(5):
-            single = batch_convolve(
-                a[row : row + 1], b[row : row + 1], backend="fft"
-            )
+            single = _convolve_fft(a[row : row + 1], b[row : row + 1])
             assert (single[0] == full[row]).all()
 
-    def test_power_auto_vs_reference(self, rng):
+    def test_power_auto_vs_reference(self, rng, monkeypatch):
         base = _pmf_stack(rng, 3, 40)
-        ref = batch_convolve_power(base, 7, backend="reference")
-        auto = batch_convolve_power(base, 7, backend="auto")
+        auto = batch_convolve_power(base, 7)
+        monkeypatch.setattr(kernels, "FFT_MIN_WIDTH", sys.maxsize)
+        ref = batch_convolve_power(base, 7)
         assert np.abs(auto - ref).max() <= 1e-12
 
 
@@ -188,19 +168,19 @@ class TestDispatch:
         a = _pmf_stack(rng, 4, 200)
         b = _pmf_stack(rng, 4, FFT_MIN_WIDTH - 1)
         with obs.instrument() as ob:
-            auto = batch_convolve(a, b, backend="auto")
+            auto = batch_convolve(a, b)
             counters = ob.manifest()["counters"]
-        assert (auto == batch_convolve(a, b, backend="reference")).all()
+        assert (auto == _convolve_reference(a, b)).all()
         assert "kernel.fft_dispatch" not in counters
 
     def test_auto_large_support_dispatches_fft(self, rng):
         a = _pmf_stack(rng, 4, FFT_MIN_WIDTH)
         b = _pmf_stack(rng, 4, FFT_MIN_WIDTH)
         with obs.instrument() as ob:
-            auto = batch_convolve(a, b, backend="auto")
+            auto = batch_convolve(a, b)
             counters = ob.manifest()["counters"]
         assert counters["kernel.fft_dispatch"] == 1
-        assert (auto == batch_convolve(a, b, backend="fft")).all()
+        assert (auto == _convolve_fft(a, b)).all()
 
     def test_dispatch_keys_on_shorter_operand(self, rng):
         # One wide operand is not enough: the crossover depends on the
@@ -208,7 +188,7 @@ class TestDispatch:
         wide = _pmf_stack(rng, 2, 500)
         narrow = _pmf_stack(rng, 2, 8)
         with obs.instrument() as ob:
-            batch_convolve(narrow, wide, backend="auto")
+            batch_convolve(narrow, wide)
             counters = ob.manifest()["counters"]
         assert "kernel.fft_dispatch" not in counters
 
@@ -219,11 +199,11 @@ class TestDispatch:
         b = np.full((2, 128), 1e9)
         assert fft_roundoff_bound(a, b) > FFT_GUARD_ATOL
         with obs.instrument() as ob:
-            out = batch_convolve(a, b, backend="fft")
+            out = batch_convolve(a, b)
             counters = ob.manifest()["counters"]
         assert counters["kernel.fallbacks"] == 1
         assert "kernel.fft_dispatch" not in counters
-        assert (out == batch_convolve(a, b, backend="reference")).all()
+        assert (out == _convolve_reference(a, b)).all()
 
     def test_guard_accepts_pmf_rows(self, rng):
         a = _pmf_stack(rng, 3, 128)
@@ -234,49 +214,34 @@ class TestDispatch:
         a = np.full((1, 128), np.inf)
         b = np.ones((1, 128))
         with obs.instrument() as ob:
-            batch_convolve(a, b, backend="fft")
+            batch_convolve(a, b)
             counters = ob.manifest()["counters"]
         assert counters["kernel.fallbacks"] == 1
 
 
 class TestEngineBackends:
     def test_engine_rejects_unknown_backend(self, small):
-        with pytest.raises(AnalysisError, match="unknown kernel backend"):
-            BatchedMarkovSpatialAnalysis(small, backend="blas")
+        # No kernel option reaches the engine either.
+        with pytest.raises(TypeError):
+            BatchedMarkovSpatialAnalysis(small, backend="fft")
 
     def test_engine_backend_property(self, small):
-        assert BatchedMarkovSpatialAnalysis(small).backend is None
-        engine = BatchedMarkovSpatialAnalysis(small, backend="fft")
-        assert engine.backend == "fft"
+        assert not hasattr(BatchedMarkovSpatialAnalysis(small), "backend")
 
-    def test_auto_within_tolerance_of_reference(self, small):
-        clear_analysis_cache()
+    def test_auto_within_tolerance_of_reference(
+        self, small, monkeypatch, fresh_cache
+    ):
         axes = dict(num_sensors=[20, 40, 80], thresholds=[1, 3, 6])
-        ref = BatchedMarkovSpatialAnalysis(
-            small, backend="reference"
-        ).detection_probability_grid(**axes)
-        fft = BatchedMarkovSpatialAnalysis(
-            small, backend="fft"
-        ).detection_probability_grid(**axes)
-        auto = BatchedMarkovSpatialAnalysis(
-            small, backend="auto"
-        ).detection_probability_grid(**axes)
+        ref = _engine_grid(small, sys.maxsize, monkeypatch, axes)
+        fft = _engine_grid(small, 0, monkeypatch, axes)
+        auto = BatchedMarkovSpatialAnalysis(small).detection_probability_grid(
+            **axes
+        )
         assert np.abs(fft - ref).max() <= 1e-12
         assert np.abs(auto - ref).max() <= 1e-12
 
-    def test_default_backend_governs_plain_engines(self, small):
-        clear_analysis_cache()
-        set_default_backend("reference")
-        inherited = BatchedMarkovSpatialAnalysis(
-            small
-        ).detection_probability_grid(num_sensors=[30], thresholds=[2])
-        explicit = BatchedMarkovSpatialAnalysis(
-            small, backend="reference"
-        ).detection_probability_grid(num_sensors=[30], thresholds=[2])
-        assert (inherited == explicit).all()
 
-
-#: PR 5 golden grids, reproduced bitwise by ``backend='reference'``.
+#: Golden grids, reproduced bitwise by the pure shift-and-add loop.
 #: Regenerate only on a deliberate numerical contract change:
 #:   detection_probability_grid under the parameters named in each case.
 GOLDEN_SMALL = [
@@ -291,27 +256,44 @@ GOLDEN_ONR = [
 
 
 class TestReferenceGoldens:
-    """``backend='reference'`` must stay bitwise equal to the PR 5 output."""
+    """The pure shift-and-add loop stays bitwise equal to the golden grids;
+    the shipped policy stays within 1e-12 of them."""
 
     def _hex_grid(self, grid):
         return [[float(v).hex() for v in row] for row in grid]
 
-    def test_small_grid_bitwise(self):
-        clear_analysis_cache()
+    def test_small_grid_bitwise(self, monkeypatch, fresh_cache):
+        monkeypatch.setattr(kernels, "FFT_MIN_WIDTH", sys.maxsize)
         grid = BatchedMarkovSpatialAnalysis(
-            small_scenario(), backend="reference"
+            small_scenario()
         ).detection_probability_grid(
             num_sensors=[20, 40, 80], thresholds=[1, 3, 6]
         )
         assert self._hex_grid(grid) == GOLDEN_SMALL
 
     @pytest.mark.slow
-    def test_onr_grid_bitwise(self):
-        clear_analysis_cache()
+    def test_onr_grid_bitwise(self, monkeypatch, fresh_cache):
+        monkeypatch.setattr(kernels, "FFT_MIN_WIDTH", sys.maxsize)
         grid = BatchedMarkovSpatialAnalysis(
             onr_scenario(num_sensors=240, speed=10.0),
             body_truncation=4,
             substeps=2,
-            backend="reference",
         ).detection_probability_grid(num_sensors=[60, 240], thresholds=[5])
         assert self._hex_grid(grid) == GOLDEN_ONR
+
+    @pytest.mark.slow
+    def test_onr_grid_shipped_policy(self, fresh_cache):
+        # The ONR case is wide enough that the shipped policy really takes
+        # the FFT; it must still land within 1e-12 of the golden grid.
+        with obs.instrument() as ob:
+            grid = BatchedMarkovSpatialAnalysis(
+                onr_scenario(num_sensors=240, speed=10.0),
+                body_truncation=4,
+                substeps=2,
+            ).detection_probability_grid(num_sensors=[60, 240], thresholds=[5])
+            counters = ob.manifest()["counters"]
+        assert counters["kernel.fft_dispatch"] > 0
+        golden = np.array(
+            [[float.fromhex(v) for v in row] for row in GOLDEN_ONR]
+        )
+        assert np.abs(grid - golden).max() <= 1e-12

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, SimulationError
-from repro.experiments.sweeps import analytical_grid_sweep, grid_sweep, sweep
+from repro.experiments.sweeps import (
+    analytical_grid_sweep,
+    distributed_grid_sweep,
+    grid_sweep,
+    simulated_grid_sweep,
+    sweep,
+)
 
 
 def _square(value):
@@ -279,10 +285,16 @@ class TestAnalyticalGridSweep:
             )
 
     def test_unknown_field_rejected(self, scenario):
-        with pytest.raises(AnalysisError, match="unknown scenario field"):
-            analytical_grid_sweep(scenario, {"bogus": [1]})
-        with pytest.raises(AnalysisError, match="at least one"):
-            analytical_grid_sweep(scenario, {})
+        # All three scenario-grid entry points share one check.
+        for entry in (
+            analytical_grid_sweep,
+            simulated_grid_sweep,
+            distributed_grid_sweep,
+        ):
+            with pytest.raises(AnalysisError, match="unknown scenario field"):
+                entry(scenario, {"bogus": [1]})
+            with pytest.raises(AnalysisError, match="at least one"):
+                entry(scenario, {})
 
     def test_per_point_path_supports_workers(self, scenario):
         grids = {"num_sensors": [20, 40], "threshold": [1, 2]}
