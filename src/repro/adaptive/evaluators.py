@@ -2,8 +2,8 @@
 
 An *evaluator* answers design-space oracle queries: given a template
 scenario and a batch of sweep-style replacement points (the exact shape
-:func:`repro.experiments.sweeps._analytical_point` takes — scenario
-field overrides plus an optional ``"threshold"``), it returns one model
+:func:`repro.core.batched.resolve_point` resolves — scenario field
+overrides plus an optional ``"threshold"``), it returns one model
 detection probability per point.  Searches never build engines
 themselves; they go through this seam, so the same bisection code runs
 against the in-process batched engine, the process-wide
@@ -42,7 +42,10 @@ import numpy as np
 
 from repro.adaptive.ledger import EvaluationLedger
 from repro.cache import AnalysisCache, analysis_cache, design_point_key
-from repro.core.batched import BatchedMarkovSpatialAnalysis
+from repro.core.batched import (
+    detection_probability_grid,
+    point_detection_probability,
+)
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError
 
@@ -164,31 +167,17 @@ class InProcessEvaluator(Evaluator):
     def _compute_points(
         self, scenario: Scenario, points: List[Point]
     ) -> List[float]:
-        values = []
-        for point in points:
-            replacements = {
-                name: value
-                for name, value in point.items()
-                if name != "threshold"
-            }
-            target = (
-                scenario.replace(**replacements) if replacements else scenario
-            )
-            engine = BatchedMarkovSpatialAnalysis(
-                target,
+        return [
+            point_detection_probability(
+                scenario,
+                point,
                 body_truncation=self.truncation,
                 head_truncation=self.head_truncation,
                 substeps=self.substeps,
+                normalize=self.normalize,
             )
-            values.append(
-                float(
-                    engine.detection_probability(
-                        threshold=point.get("threshold"),
-                        normalize=self.normalize,
-                    )
-                )
-            )
-        return values
+            for point in points
+        ]
 
     def _compute_grid(
         self,
@@ -196,14 +185,13 @@ class InProcessEvaluator(Evaluator):
         num_sensors: Optional[Sequence[int]],
         thresholds: Optional[Sequence[int]],
     ) -> np.ndarray:
-        return BatchedMarkovSpatialAnalysis(
+        return detection_probability_grid(
             scenario,
+            num_sensors=num_sensors,
+            thresholds=thresholds,
             body_truncation=self.truncation,
             head_truncation=self.head_truncation,
             substeps=self.substeps,
-        ).detection_probability_grid(
-            num_sensors=num_sensors,
-            thresholds=thresholds,
             normalize=self.normalize,
         )
 

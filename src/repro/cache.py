@@ -453,11 +453,10 @@ def design_point_key(
     single float, not a distribution stack: it is the adaptive layer's
     point-level memo, sitting *above* the stack cache.
     """
-    replacements = {
-        name: value for name, value in point.items() if name != "threshold"
-    }
-    target = scenario.replace(**replacements) if replacements else scenario
-    threshold = point.get("threshold")
+    # Lazy: repro.core.batched imports this module.
+    from repro.core.batched import resolve_point
+
+    target, threshold = resolve_point(scenario, point)
     return (
         "design_point",
         tuple(sorted(target.to_dict().items())),

@@ -49,7 +49,7 @@ evaluation counts its points into the active instrumentation's
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -68,6 +68,8 @@ __all__ = [
     "batch_convolve",
     "batch_convolve_power",
     "detection_probability_grid",
+    "point_detection_probability",
+    "resolve_point",
 ]
 
 
@@ -436,3 +438,43 @@ def detection_probability_grid(
     ).detection_probability_grid(
         num_sensors=num_sensors, thresholds=thresholds, normalize=normalize
     )
+
+
+def resolve_point(
+    template: Scenario, point: Mapping[str, Any]
+) -> Tuple[Scenario, Optional[int]]:
+    """The ``(scenario, threshold)`` a sweep point names.
+
+    A point maps scenario field names to values.  Every field but
+    ``threshold`` replaces the template's; ``threshold`` is split off
+    (``None`` when the point leaves it at the template's ``k``), because
+    one report-count distribution answers every ``k``.
+    """
+    replacements = {
+        name: value for name, value in point.items() if name != "threshold"
+    }
+    scenario = template.replace(**replacements) if replacements else template
+    return scenario, point.get("threshold")
+
+
+def point_detection_probability(
+    template: Scenario,
+    point: Mapping[str, Any],
+    body_truncation: int = 3,
+    head_truncation: Optional[int] = None,
+    substeps: int = 1,
+    normalize: bool = True,
+) -> float:
+    """``P_M[X >= k]`` at one sweep point: the singleton grid cell.
+
+    Per-point sweep rows, the adaptive evaluators and the distributed
+    workers all evaluate points here; the value is bitwise equal to the
+    matching :func:`detection_probability_grid` cell (batch invariance).
+    """
+    scenario, threshold = resolve_point(template, point)
+    return BatchedMarkovSpatialAnalysis(
+        scenario,
+        body_truncation=body_truncation,
+        head_truncation=head_truncation,
+        substeps=substeps,
+    ).detection_probability(threshold=threshold, normalize=normalize)

@@ -332,7 +332,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             scenario,
             grids,
             kind=args.kind,
-            workers=max(1, args.workers),
+            workers=args.workers,
             checkpoint=args.checkpoint,
             host=host or "127.0.0.1",
             port=int(port),

@@ -36,12 +36,15 @@ Batched analytical sweeps
 scenario fields.  When every swept axis is in :data:`BATCHED_FIELDS`
 (``num_sensors`` and ``threshold`` — the axes the Eq. 12 chain can
 broadcast over), the whole grid is answered by one
-:class:`repro.core.batched.BatchedMarkovSpatialAnalysis` evaluation; any
-other axis falls back to per-point evaluation (counted in the
-``batch.fallbacks`` obs counter).  Both paths run through the same
-checkpoint/resume engine and — because the per-point path evaluates the
-*same* batched kernel on singleton axes, and that kernel is
-batch-invariant — produce **byte-identical** row and checkpoint JSON.
+:func:`repro.core.batched.detection_probability_grid` call; any other
+axis (or ``batch=False``) runs per point (counted in the
+``batch.fallbacks`` obs counter).  Every per-point row — serial, pooled
+or distributed — comes from
+:func:`repro.core.batched.point_detection_probability`, which evaluates
+the *same* batched kernel on singleton axes; the kernel is
+batch-invariant, so both paths produce **byte-identical** row and
+checkpoint JSON.  The service's ``/sweep`` endpoint is this function
+over one axis.
 
 Fused simulated sweeps
 ----------------------
@@ -54,9 +57,9 @@ off the prefix under common random numbers, every ``k`` off the same
 per-trial totals.  Any other axis (or a scenario feature the fused
 engine does not model) falls back to one
 :class:`~repro.simulation.runner.MonteCarloSimulator` per point (counted
-in ``mc.fallbacks``).  Unlike the analytical sweep, the two dispatch
-paths are *not* byte-identical to each other — they consume randomness
-differently — except at ``N = max(num_sensors)``, where the fused
+in ``mc.fallbacks``; ``fused=False`` forces it).  Unlike the analytical
+sweep, the two dispatch paths are *not* byte-identical to each other —
+they consume randomness differently — except at ``N = max(num_sensors)``, where the fused
 column is bitwise equal to the per-point run with the same seed.  Each
 path is individually deterministic for a given seed, which is what the
 checkpoint contract needs.
@@ -75,7 +78,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import AnalysisError, SimulationError
-from repro.parallel import parallel_map
+from repro.parallel import _validate_workers, parallel_map
 
 __all__ = [
     "BATCHED_FIELDS",
@@ -355,8 +358,11 @@ def _grid_points(grids: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
     return points
 
 
-def _check_scenario_grids(scenario: Any, grids: Dict[str, Any]) -> None:
-    """Reject an empty grid or a field the scenario does not have."""
+def _check_grid_sweep(
+    scenario: Any, grids: Dict[str, Any], workers: Any
+) -> None:
+    """Reject an empty grid, a field the scenario does not have, or a
+    ``workers`` that is not an integer >= 1 (before any path runs)."""
     if not grids:
         raise AnalysisError("grids must name at least one scenario field")
     unknown = [name for name in grids if not hasattr(scenario, name)]
@@ -365,6 +371,30 @@ def _check_scenario_grids(scenario: Any, grids: Dict[str, Any]) -> None:
             f"unknown scenario field(s) {unknown}; sweepable fields are "
             "the Scenario dataclass fields"
         )
+    _validate_workers(workers)
+
+
+def _require_flag(name: str, value: Any, error: type) -> None:
+    if not isinstance(value, bool):
+        raise error(f"{name} must be True or False, got {value!r}")
+
+
+def _cell_lookup(
+    scenario: Any, grids: Dict[str, Sequence[Any]], table: np.ndarray
+) -> Callable[[Dict[str, Any]], Any]:
+    """``point -> table[i, j]`` for a grid over :data:`BATCHED_FIELDS`,
+    where ``table`` is indexed ``(num_sensors, threshold)``."""
+    cells = {
+        (n, k): table[i, j]
+        for i, n in enumerate(grids.get("num_sensors", [scenario.num_sensors]))
+        for j, k in enumerate(grids.get("threshold", [scenario.threshold]))
+    }
+    return lambda point: cells[
+        (
+            point.get("num_sensors", scenario.num_sensors),
+            point.get("threshold", scenario.threshold),
+        )
+    ]
 
 
 def _analytical_point(
@@ -375,32 +405,23 @@ def _analytical_point(
     normalize: bool,
     **point: Any,
 ) -> Dict[str, Any]:
-    """One analytical sweep row, evaluated on the batched kernel.
+    """One analytical sweep row, ``{**point, "detection_probability": p}``.
 
-    Module-level (hence picklable for ``workers > 1``).  Evaluates a
-    singleton axis of the batched engine, so per-point rows are
-    **bitwise** equal to the corresponding batched-grid rows (the kernel
-    is batch-invariant).
+    Module-level (hence picklable for ``workers > 1``).  The value is
+    :func:`repro.core.batched.point_detection_probability`, so per-point
+    rows are **bitwise** equal to the batched-grid rows.
     """
-    from repro.core.batched import BatchedMarkovSpatialAnalysis
+    from repro.core.batched import point_detection_probability
 
-    threshold = point.get("threshold")
-    replacements = {
-        name: value for name, value in point.items() if name != "threshold"
-    }
-    target = scenario.replace(**replacements) if replacements else scenario
-    engine = BatchedMarkovSpatialAnalysis(
-        target,
+    probability = point_detection_probability(
+        scenario,
+        point,
         body_truncation=body_truncation,
         head_truncation=head_truncation,
         substeps=substeps,
+        normalize=normalize,
     )
-    value = engine.detection_probability(
-        threshold=threshold, normalize=normalize
-    )
-    row = dict(point)
-    row["detection_probability"] = value
-    return row
+    return {**point, "detection_probability": probability}
 
 
 def analytical_grid_sweep(
@@ -414,7 +435,7 @@ def analytical_grid_sweep(
     checkpoint: Optional[str] = None,
     timeout: Optional[float] = None,
     max_retries: int = 2,
-    batch: Any = "auto",
+    batch: bool = True,
 ) -> List[Dict[str, Any]]:
     """Sweep the M-S-approach ``P_M[X >= k]`` over a grid of scenario fields.
 
@@ -428,60 +449,44 @@ def analytical_grid_sweep(
             as on :class:`~repro.core.markov_spatial.MarkovSpatialAnalysis`.
         normalize: Eq. 13 normalisation (as on ``detection_probability``).
         workers: process count for the *per-point* path; the batched path
-            is a single vectorised evaluation and ignores it.
+            is a single vectorised evaluation and ignores it (it is
+            still validated).
         checkpoint: optional JSON path, same format and resume semantics
             as :func:`grid_sweep` — and byte-identical between the two
             dispatch paths.
         timeout / max_retries: per-point pool options (per-point path).
-        batch: ``"auto"`` (default) dispatches to the batched kernel when
-            every swept field is in :data:`BATCHED_FIELDS`; ``False``
-            forces per-point evaluation; ``True`` requires the batched
-            path and raises :class:`~repro.errors.AnalysisError` if an
-            axis prevents it.
+        batch: ``True`` (default) answers the grid with one batched
+            kernel call when every swept field is in
+            :data:`BATCHED_FIELDS`, and per point otherwise; ``False``
+            always evaluates per point.
 
     Raises:
-        AnalysisError: for a field the scenario does not have, or
-            ``batch=True`` with a non-batchable axis.
+        AnalysisError: for a field the scenario does not have, or a
+            non-bool ``batch``.
+        SimulationError: for ``workers`` that is not an integer >= 1.
     """
-    _check_scenario_grids(scenario, grids)
-    batchable = all(name in BATCHED_FIELDS for name in grids)
-    if batch is True and not batchable:
-        blocking = sorted(set(grids) - set(BATCHED_FIELDS))
-        raise AnalysisError(
-            f"batch=True but axis(es) {blocking} are not batchable; "
-            f"only {list(BATCHED_FIELDS)} broadcast through the kernel"
-        )
+    _check_grid_sweep(scenario, grids, workers)
+    _require_flag("batch", batch, AnalysisError)
     points = _grid_points(grids)
-    use_batched = batchable and batch is not False
-    if use_batched:
-        from repro.core.batched import BatchedMarkovSpatialAnalysis
+    if batch and all(name in BATCHED_FIELDS for name in grids):
+        from repro.core.batched import detection_probability_grid
 
-        num_sensors = list(grids.get("num_sensors", [scenario.num_sensors]))
-        thresholds = list(grids.get("threshold", [scenario.threshold]))
-        engine = BatchedMarkovSpatialAnalysis(
+        cell = _cell_lookup(
             scenario,
-            body_truncation=body_truncation,
-            head_truncation=head_truncation,
-            substeps=substeps,
+            grids,
+            detection_probability_grid(
+                scenario,
+                num_sensors=grids.get("num_sensors"),
+                thresholds=grids.get("threshold"),
+                body_truncation=body_truncation,
+                head_truncation=head_truncation,
+                substeps=substeps,
+                normalize=normalize,
+            ),
         )
-        grid = engine.detection_probability_grid(
-            num_sensors=num_sensors,
-            thresholds=thresholds,
-            normalize=normalize,
-        )
-        lookup = {}
-        for row_index, n in enumerate(num_sensors):
-            for col_index, k in enumerate(thresholds):
-                lookup[(n, k)] = float(grid[row_index, col_index])
 
         def compute(**point: Any) -> Dict[str, Any]:
-            key = (
-                point.get("num_sensors", scenario.num_sensors),
-                point.get("threshold", scenario.threshold),
-            )
-            row = dict(point)
-            row["detection_probability"] = lookup[key]
-            return row
+            return {**point, "detection_probability": float(cell(point))}
 
         # The grid is already evaluated; the closure is a table lookup,
         # so pool workers would only add pickling failures.
@@ -510,6 +515,17 @@ def analytical_grid_sweep(
     )
 
 
+def _simulated_row(
+    point: Dict[str, Any], trials: int, detections: int
+) -> Dict[str, Any]:
+    return {
+        **point,
+        "trials": trials,
+        "detections": detections,
+        "detection_probability": detections / trials,
+    }
+
+
 def _simulated_point(
     scenario: Any,
     trials: int,
@@ -526,13 +542,10 @@ def _simulated_point(
     ``threshold`` never reaches the simulator (report counts do not
     depend on it); it is applied to the finished trial counts.
     """
+    from repro.core.batched import resolve_point
     from repro.simulation.runner import MonteCarloSimulator
 
-    threshold = point.get("threshold", scenario.threshold)
-    replacements = {
-        name: value for name, value in point.items() if name != "threshold"
-    }
-    target = scenario.replace(**replacements) if replacements else scenario
+    target, threshold = resolve_point(scenario, point)
     result = MonteCarloSimulator(
         target,
         trials=trials,
@@ -540,12 +553,10 @@ def _simulated_point(
         boundary=boundary,
         batch_size=batch_size,
     ).run()
+    if threshold is None:
+        threshold = target.threshold
     detections = int(np.count_nonzero(result.report_counts >= threshold))
-    row = dict(point)
-    row["trials"] = trials
-    row["detections"] = detections
-    row["detection_probability"] = detections / trials
-    return row
+    return _simulated_row(point, trials, detections)
 
 
 def simulated_grid_sweep(
@@ -559,7 +570,7 @@ def simulated_grid_sweep(
     checkpoint: Optional[str] = None,
     timeout: Optional[float] = None,
     max_retries: int = 2,
-    fused: Any = "auto",
+    fused: bool = True,
 ) -> List[Dict[str, Any]]:
     """Monte Carlo detection probability over a grid of scenario fields.
 
@@ -580,59 +591,38 @@ def simulated_grid_sweep(
         checkpoint: optional JSON path, same resume semantics as
             :func:`grid_sweep`.  A checkpoint written by one dispatch
             path must not resume the other (the fingerprint only covers
-            the point list), so pass ``fused=True`` / ``False`` rather
-            than ``"auto"`` when resuming matters.
-        timeout / max_retries: pool options (both paths).
-        fused: ``"auto"`` (default) dispatches to the fused engine when
-            every swept field is in :data:`BATCHED_FIELDS`; ``False``
-            forces per-point simulators; ``True`` requires the fused
-            path and raises :class:`~repro.errors.SimulationError` if an
-            axis prevents it.
+            the point list), so resume with the same ``fused`` value.
+        timeout / max_retries: per-point pool options (per-point path;
+            the fused path's shards run without them).
+        fused: ``True`` (default) answers the grid with one fused pass
+            when every swept field is in :data:`BATCHED_FIELDS`, and
+            with one simulator per point otherwise; ``False`` always
+            runs per point.
 
     Raises:
         AnalysisError: for a field the scenario does not have.
-        SimulationError: ``fused=True`` with a non-fusable axis, or
-            invalid simulation parameters.
+        SimulationError: a non-bool ``fused``, ``workers`` that is not
+            an integer >= 1, or invalid simulation parameters.
     """
-    _check_scenario_grids(scenario, grids)
-    fusable = all(name in BATCHED_FIELDS for name in grids)
-    if fused is True and not fusable:
-        blocking = sorted(set(grids) - set(BATCHED_FIELDS))
-        raise SimulationError(
-            f"fused=True but axis(es) {blocking} are not fusable; only "
-            f"{list(BATCHED_FIELDS)} ride one common-random-numbers pass"
-        )
+    _check_grid_sweep(scenario, grids, workers)
+    _require_flag("fused", fused, SimulationError)
     points = _grid_points(grids)
-    if fusable and fused is not False:
+    if fused and all(name in BATCHED_FIELDS for name in grids):
         from repro.simulation.fused import FusedMonteCarloEngine
 
-        num_sensors = list(grids.get("num_sensors", [scenario.num_sensors]))
-        thresholds = list(grids.get("threshold", [scenario.threshold]))
         result = FusedMonteCarloEngine(
             scenario,
-            num_sensors=num_sensors,
-            thresholds=thresholds,
+            num_sensors=list(grids.get("num_sensors", [scenario.num_sensors])),
+            thresholds=list(grids.get("threshold", [scenario.threshold])),
             trials=trials,
             seed=seed,
             boundary=boundary,
             batch_size=batch_size,
         ).run(workers=workers)
-        detections = result.detections_grid()
-        lookup = {}
-        for row_index, n in enumerate(num_sensors):
-            for col_index, k in enumerate(thresholds):
-                lookup[(n, k)] = int(detections[row_index, col_index])
+        cell = _cell_lookup(scenario, grids, result.detections_grid())
 
         def compute(**point: Any) -> Dict[str, Any]:
-            key = (
-                point.get("num_sensors", scenario.num_sensors),
-                point.get("threshold", scenario.threshold),
-            )
-            row = dict(point)
-            row["trials"] = trials
-            row["detections"] = lookup[key]
-            row["detection_probability"] = lookup[key] / trials
-            return row
+            return _simulated_row(point, trials, int(cell(point)))
 
         # The pass already ran (its trials possibly sharded over
         # `workers`); the closure is a table lookup.
@@ -717,9 +707,10 @@ def distributed_grid_sweep(
 
     Raises:
         AnalysisError: unknown grid fields or an unknown ``kind``.
-        SimulationError: the fleet failed to complete the sweep.
+        SimulationError: ``workers`` that is not an integer >= 1, or the
+            fleet failed to complete the sweep.
     """
-    _check_scenario_grids(scenario, grids)
+    _check_grid_sweep(scenario, grids, workers)
     if kind == "analytical":
         spec: Dict[str, Any] = {
             "kind": "analytical",

@@ -37,7 +37,8 @@ Crash resilience
 ----------------
 
 Long sweeps must survive their own infrastructure.  Both executors run on
-a shared resilient engine:
+a shared resilient engine (the trial-shard runners on its defaults: two
+crash retries, no timeout; :func:`parallel_map` takes both as options):
 
 * a worker process dying mid-shard (OOM kill, segfault, ``os._exit``)
   surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`; the
@@ -259,8 +260,8 @@ def _execute_resilient(
 ) -> List[Any]:
     """Run ``fn(*task)`` for every task over a process pool, surviving crashes.
 
-    The engine behind :func:`run_simulator_parallel` and
-    :func:`parallel_map` (see the module docstring's resilience contract).
+    The engine behind the trial-shard runners and :func:`parallel_map`
+    (see the module docstring's resilience contract).
     ``on_result(index, result)`` fires in completion order as tasks finish
     — checkpoint writers and progress callbacks hang off it.
 
@@ -415,38 +416,20 @@ def _execute_resilient(
     return results
 
 
-def run_simulator_parallel(
-    simulator,
-    workers: int,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-):
-    """Run a :class:`MonteCarloSimulator`'s trials across worker processes.
+def _run_sharded(engine, workers: int, merge, progress=None):
+    """Shard ``engine``'s trials over processes and merge in shard order.
 
-    Args:
-        simulator: the configured simulator (its ``trials``, ``seed`` and
-            all modelling options are honoured).
-        workers: process count; shards follow :func:`split_trials` and
-            seeds follow :func:`spawn_seed_sequences`.
-        timeout: optional per-shard running-time bound in seconds
-            (queue wait excluded); an overdue shard's pool is abandoned
-            and the shard retried.
-        max_retries: pool rebuilds allowed per shard before the serial
-            fallback (crashes) or a raised error (timeouts).
-
-    Returns:
-        One merged :class:`SimulationResult` — shard order, hence output,
-        is deterministic for a given ``(seed, workers)``, and worker
-        crashes never change it (retries replay the same seeds).
+    The one shard loop behind :func:`run_simulator_parallel` and
+    :func:`run_fused_parallel`: shards follow :func:`split_trials`, shard
+    ``i`` draws from the ``i``-th :func:`spawn_seed_sequences` child, and
+    ``progress(done, total)`` (optional) fires in the parent as shards
+    complete.  Crashed shards are retried and replay the same seeds.
     """
-    workers = _validate_workers(workers)
-    _validate_resilience(timeout, max_retries)
-    shards = split_trials(simulator._trials, workers)
-    seeds = spawn_seed_sequences(simulator._seed, len(shards))
-    progress = simulator._progress
-    total = simulator._trials
+    shards = split_trials(engine._trials, workers)
+    seeds = spawn_seed_sequences(engine._seed, len(shards))
+    total = engine._trials
     if len(shards) == 1:
-        result = _run_shard(simulator, shards[0], seeds[0])
+        result = _run_shard(engine, shards[0], seeds[0])
         if progress is not None:
             progress(total, total)
         return result
@@ -458,74 +441,48 @@ def run_simulator_parallel(
             done_trials[0] += shards[index]
             progress(done_trials[0], total)
 
-    tasks = [
-        (simulator, shard, seed) for shard, seed in zip(shards, seeds)
-    ]
-    try:
-        results = _execute_resilient(
-            _run_shard,
-            tasks,
-            workers=len(shards),
-            timeout=timeout,
-            max_retries=max_retries,
-            on_result=on_result,
-        )
-    except SimulationError:
-        raise
-    except (pickle.PicklingError, TypeError, AttributeError, ImportError) as exc:
-        raise _wrap_pickling_error(exc) from exc
-    return merge_simulation_results(results)
-
-
-def run_fused_parallel(
-    engine,
-    workers: int,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
-):
-    """Run a :class:`FusedMonteCarloEngine`'s trials across processes.
-
-    The fused counterpart of :func:`run_simulator_parallel`, under the
-    identical reproducibility contract: trials shard by
-    :func:`split_trials`, shard ``i`` always draws from the ``i``-th
-    :func:`spawn_seed_sequences` child, and shards merge in shard order —
-    so the same ``(seed, workers)`` always reproduces the identical
-    :class:`~repro.simulation.fused.FusedSweepResult`, and crash retries
-    replay the exact shard they lost.  The per-trial grid rows stay
-    aligned across columns within every shard, so common-random-numbers
-    monotonicity survives the merge.
-
-    Args:
-        engine: the configured fused engine (its trials/seed/axes are
-            honoured).
-        workers: process count.
-        timeout: optional per-shard running-time bound in seconds.
-        max_retries: pool rebuilds allowed per shard before the serial
-            fallback (crashes) or a raised error (timeouts).
-
-    Returns:
-        One merged :class:`~repro.simulation.fused.FusedSweepResult`.
-    """
-    workers = _validate_workers(workers)
-    _validate_resilience(timeout, max_retries)
-    shards = split_trials(engine._trials, workers)
-    seeds = spawn_seed_sequences(engine._seed, len(shards))
-    if len(shards) == 1:
-        return _run_shard(engine, shards[0], seeds[0])
     tasks = [(engine, shard, seed) for shard, seed in zip(shards, seeds)]
     try:
         results = _execute_resilient(
-            _run_shard,
-            tasks,
-            workers=len(shards),
-            timeout=timeout,
-            max_retries=max_retries,
+            _run_shard, tasks, workers=len(shards), on_result=on_result
         )
     except SimulationError:
         raise
     except (pickle.PicklingError, TypeError, AttributeError, ImportError) as exc:
         raise _wrap_pickling_error(exc) from exc
-    return merge_fused_results(results)
+    return merge(results)
+
+
+def run_simulator_parallel(simulator, workers: int):
+    """Run a :class:`MonteCarloSimulator`'s trials across worker processes.
+
+    Args:
+        simulator: the configured simulator (its ``trials``, ``seed``,
+            ``progress`` and all modelling options are honoured).
+        workers: process count; shards follow :func:`split_trials` and
+            seeds follow :func:`spawn_seed_sequences`.
+
+    Returns:
+        One merged :class:`SimulationResult` — shard order, hence output,
+        is deterministic for a given ``(seed, workers)``, and worker
+        crashes never change it (retries replay the same seeds).
+    """
+    return _run_sharded(
+        simulator, workers, merge_simulation_results, simulator._progress
+    )
+
+
+def run_fused_parallel(engine, workers: int):
+    """Run a :class:`FusedMonteCarloEngine`'s trials across processes.
+
+    The fused counterpart of :func:`run_simulator_parallel`, under the
+    identical reproducibility contract, so the same ``(seed, workers)``
+    always reproduces the identical
+    :class:`~repro.simulation.fused.FusedSweepResult`.  The per-trial
+    grid rows stay aligned across columns within every shard, so
+    common-random-numbers monotonicity survives the merge.
+    """
+    return _run_sharded(engine, workers, merge_fused_results)
 
 
 def _invoke(task) -> Any:

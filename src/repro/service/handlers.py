@@ -26,6 +26,11 @@ analytical prediction) the service runs on the event-loop side when no
 healthy replica can take the request.  Degraded responses are flagged
 ``"degraded": true`` and carry an ``"approximation"`` note, so a client
 can always tell a fallback from the real thing.
+
+No endpoint builds an analytical engine for a sweep itself: ``/sweep``
+is :func:`~repro.experiments.sweeps.analytical_grid_sweep` over the
+request's one axis (rows byte-identical to the library's), and a
+degraded ``/simulate`` sweep returns the degraded ``/sweep`` rows.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError, ScenarioError, SimulationError
+from repro.experiments.sweeps import BATCHED_FIELDS, analytical_grid_sweep
 
 __all__ = [
     "ENDPOINTS",
@@ -188,11 +194,6 @@ def compute_analyze(request: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
-#: ``/simulate`` sweep axes the fused engine can answer in one pass
-#: (common random numbers over a deployment prefix / shared totals).
-FUSED_SWEEP_FIELDS = ("num_sensors", "threshold")
-
-
 def _canonical_simulate_sweep(payload: Dict[str, Any], base: Scenario):
     """Validate the optional ``/simulate`` ``"sweep"`` sub-object."""
     spec = payload.get("sweep")
@@ -201,9 +202,9 @@ def _canonical_simulate_sweep(payload: Dict[str, Any], base: Scenario):
     spec = _require_dict(spec, "'sweep'")
     _unknown_keys(spec, ("parameter", "values"))
     parameter = spec.get("parameter")
-    if parameter not in FUSED_SWEEP_FIELDS:
+    if parameter not in BATCHED_FIELDS:
         raise RequestError(
-            f"'sweep.parameter' must be one of {sorted(FUSED_SWEEP_FIELDS)} "
+            f"'sweep.parameter' must be one of {sorted(BATCHED_FIELDS)} "
             f"(axes one fused Monte Carlo pass can answer), got {parameter!r}"
         )
     values = spec.get("values")
@@ -395,60 +396,25 @@ def canonicalize_sweep(payload: Any) -> Dict[str, Any]:
 
 
 def compute_sweep(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-side kernel for ``/sweep``.
+    """Worker-side kernel for ``/sweep``: the request's one axis through
+    :func:`~repro.experiments.sweeps.analytical_grid_sweep`.
 
-    A ``num_sensors`` or ``threshold`` axis is answered by one
-    :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` evaluation
-    (one kernel call for the whole request); other axes change the
-    geometry or detection physics and run per point on the batched
-    kernel's singleton form, sharing the worker's process-wide analysis
-    cache.  Either way, rows are bitwise identical between the two
-    shapes because the kernel is batch-invariant.
+    A ``num_sensors`` or ``threshold`` axis is one batched kernel call;
+    any other axis runs per point in the worker's process-wide analysis
+    cache.  Rows are the sweep's canonical rows, so they equal the
+    library's byte for byte.
     """
-    from repro.core.batched import BatchedMarkovSpatialAnalysis
-    from repro.experiments.sweeps import BATCHED_FIELDS
-
-    base = request["scenario"]
-    parameter = request["parameter"]
-    rows = []
-    if parameter in BATCHED_FIELDS:
-        engine = BatchedMarkovSpatialAnalysis(
-            Scenario.from_dict(base),
+    return {
+        "parameter": request["parameter"],
+        "rows": analytical_grid_sweep(
+            Scenario.from_dict(request["scenario"]),
+            {request["parameter"]: request["values"]},
             body_truncation=request["body_truncation"],
             substeps=request["substeps"],
-        )
-        axis = {("num_sensors" if parameter == "num_sensors" else "thresholds")
-                : list(request["values"])}
-        grid = engine.detection_probability_grid(**axis)
-        flat = grid[:, 0] if parameter == "num_sensors" else grid[0]
-        for value, probability in zip(request["values"], flat):
-            rows.append(
-                {
-                    parameter: value,
-                    "detection_probability": float(probability),
-                }
-            )
-    else:
-        for value in request["values"]:
-            point = dict(base)
-            point[parameter] = value
-            engine = BatchedMarkovSpatialAnalysis(
-                Scenario.from_dict(point),
-                body_truncation=request["body_truncation"],
-                substeps=request["substeps"],
-            )
-            rows.append(
-                {
-                    parameter: value,
-                    "detection_probability": engine.detection_probability(),
-                }
-            )
-    return {
-        "parameter": parameter,
-        "rows": rows,
+        ),
         "body_truncation": request["body_truncation"],
         "substeps": request["substeps"],
-        "scenario": base,
+        "scenario": request["scenario"],
     }
 
 
@@ -480,35 +446,21 @@ def approximate_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
     carry (fabricating error bars for numbers that were never sampled
     would be worse than omitting them).
     """
-    scenario = Scenario.from_dict(request["scenario"])
     sweep = request.get("sweep")
     if sweep is not None:
-        from repro.core.batched import BatchedMarkovSpatialAnalysis
-
-        parameter = sweep["parameter"]
-        values = list(sweep["values"])
-        engine = BatchedMarkovSpatialAnalysis(
-            scenario, body_truncation=1, substeps=1
-        )
-        axis = {
-            (
-                "num_sensors" if parameter == "num_sensors" else "thresholds"
-            ): values
-        }
-        grid = engine.detection_probability_grid(**axis)
-        flat = grid[:, 0] if parameter == "num_sensors" else grid[0]
-        rows = [
-            {parameter: value, "detection_probability": float(probability)}
-            for value, probability in zip(values, flat)
-        ]
         return {
-            "parameter": parameter,
-            "rows": rows,
+            "parameter": sweep["parameter"],
+            "rows": approximate_sweep(
+                {"scenario": request["scenario"], **sweep}
+            )["rows"],
             "scenario": request["scenario"],
             "approximation": _APPROXIMATION_NOTE,
         }
     analysis = MarkovSpatialAnalysis(
-        scenario, body_truncation=1, head_truncation=1, substeps=1
+        Scenario.from_dict(request["scenario"]),
+        body_truncation=1,
+        head_truncation=1,
+        substeps=1,
     )
     return {
         "detection_probability": analysis.detection_probability(),

@@ -58,6 +58,7 @@ import numpy as np
 from repro import obs
 from repro.core.scenario import Scenario
 from repro.errors import SimulationError
+from repro.parallel import _validate_workers, run_fused_parallel
 from repro.simulation.runner import MonteCarloSimulator, SimulationResult
 from repro.simulation.sensing import sample_detections, segment_coverage
 from repro.simulation.stats import wilson_interval
@@ -253,11 +254,7 @@ class FusedMonteCarloEngine:
             boundary=boundary,
             batch_size=batch_size,
         )
-        if not isinstance(workers, (int, np.integer)) or workers < 1:
-            raise SimulationError(
-                f"workers must be an integer >= 1, got {workers!r}"
-            )
-        self._workers = int(workers)
+        self._workers = _validate_workers(workers)
 
     @property
     def scenario(self) -> Scenario:
@@ -292,11 +289,9 @@ class FusedMonteCarloEngine:
                 shards the trials across processes with the same
                 ``SeedSequence`` contract as the plain simulator.
         """
-        workers = self._workers if workers is None else workers
-        if not isinstance(workers, (int, np.integer)) or workers < 1:
-            raise SimulationError(
-                f"workers must be an integer >= 1, got {workers!r}"
-            )
+        workers = _validate_workers(
+            self._workers if workers is None else workers
+        )
         ob = obs.current()
         if ob.enabled:
             ob.incr("mc.fused_runs")
@@ -306,10 +301,8 @@ class FusedMonteCarloEngine:
                 len(self._num_sensors) * len(self._thresholds),
             )
         if workers > 1:
-            from repro.parallel import run_fused_parallel
-
-            with ob.span("sim.fused_run", mode="parallel", workers=int(workers)):
-                return run_fused_parallel(self, int(workers))
+            with ob.span("sim.fused_run", mode="parallel", workers=workers):
+                return run_fused_parallel(self, workers)
         with ob.span("sim.fused_run", mode="serial"):
             return self._run_serial(
                 self._trials, np.random.default_rng(self._seed)

@@ -30,6 +30,7 @@ from repro import obs
 from repro.core.scenario import Scenario
 from repro.errors import SimulationError
 from repro.faults import FaultModel
+from repro.parallel import _validate_workers, run_simulator_parallel
 from repro.simulation.sensing import (
     apply_availability,
     sample_detections,
@@ -371,9 +372,7 @@ class MonteCarloSimulator:
     ):
         if trials < 1:
             raise SimulationError(f"trials must be >= 1, got {trials}")
-        if not isinstance(workers, (int, np.integer)) or workers < 1:
-            raise SimulationError(f"workers must be an integer >= 1, got {workers!r}")
-        self._workers = int(workers)
+        self._workers = _validate_workers(workers)
         if batch_size < 1:
             raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
         if boundary not in _BOUNDARY_MODES:
@@ -503,22 +502,20 @@ class MonteCarloSimulator:
                 ``N > 1`` fans trial shards out to ``N`` processes via
                 :func:`repro.parallel.run_simulator_parallel`.
         """
-        workers = self._workers if workers is None else workers
-        if not isinstance(workers, (int, np.integer)) or workers < 1:
-            raise SimulationError(f"workers must be an integer >= 1, got {workers!r}")
+        workers = _validate_workers(
+            self._workers if workers is None else workers
+        )
         ob = obs.current()
         if ob.enabled:
             ob.set_run_info(
                 scenario_fingerprint=obs.scenario_fingerprint(self._scenario),
                 seed=self._seed,
-                workers=int(workers),
+                workers=workers,
                 trials=self._trials,
             )
         if workers > 1:
-            from repro.parallel import run_simulator_parallel
-
-            with ob.span("sim.run", mode="parallel", workers=int(workers)):
-                return run_simulator_parallel(self, int(workers))
+            with ob.span("sim.run", mode="parallel", workers=workers):
+                return run_simulator_parallel(self, workers)
         with ob.span("sim.run", mode="serial"):
             return self._run_serial(
                 self._trials, np.random.default_rng(self._seed)

@@ -27,6 +27,17 @@ from repro.experiments.sweeps import (
 
 GRIDS = {"num_sensors": [8, 12, 16], "threshold": [1, 2]}
 MC_GRIDS = {"num_sensors": [6, 10]}
+#: One axis per ``/sweep``-able field (``SWEEPABLE_FIELDS``); real
+#: fields are spelled as floats, the form the service canonicalises to.
+SERVICE_AXES = {
+    "num_sensors": [8, 12, 16],
+    "sensing_range": [200.0, 250.0, 300.0],
+    "target_speed": [8.0, 10.0, 12.0],
+    "sensing_period": [12.0, 15.0, 18.0],
+    "detect_prob": [0.5, 0.9, 1.0],
+    "window": [8, 12, 16],
+    "threshold": [1, 2, 3],
+}
 MC_TRIALS = 300
 MC_SEED = 20080619
 
@@ -90,11 +101,17 @@ class TestAnalyticalMatrix:
         analytical_grid_sweep(scenario, GRIDS, checkpoint=str(serial_ck))
         assert dist_ck.read_bytes() == serial_ck.read_bytes()
 
-    def test_service_sweep_matches_serial_axis(self, scenario):
+    @pytest.mark.parametrize(
+        "parameter", list(SERVICE_AXES), ids=list(SERVICE_AXES)
+    )
+    def test_service_sweep_matches_serial_axis(self, scenario, parameter):
         from repro.service import AnalysisService, ServiceConfig
 
-        axis = [8, 12, 16]
-        reference = analytical_grid_sweep(scenario, {"num_sensors": axis})
+        from repro.service.handlers import SWEEPABLE_FIELDS
+
+        assert set(SERVICE_AXES) == set(SWEEPABLE_FIELDS)
+        axis = SERVICE_AXES[parameter]
+        reference = analytical_grid_sweep(scenario, {parameter: axis})
 
         async def drive():
             service = AnalysisService(ServiceConfig(workers=1, replicas=1))
@@ -102,7 +119,7 @@ class TestAnalyticalMatrix:
                 body = json.dumps(
                     {
                         "scenario": scenario.to_dict(),
-                        "parameter": "num_sensors",
+                        "parameter": parameter,
                         "values": axis,
                     }
                 ).encode()

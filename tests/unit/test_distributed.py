@@ -32,9 +32,13 @@ from repro.errors import (
 )
 from repro.experiments.sweeps import (
     _points_fingerprint,
+    analytical_grid_sweep,
     distributed_grid_sweep,
+    simulated_grid_sweep,
 )
 from repro.parallel import parallel_map, split_trials
+from repro.simulation.fused import FusedMonteCarloEngine
+from repro.simulation.runner import MonteCarloSimulator
 
 
 def double_point(**point):
@@ -448,10 +452,13 @@ class TestFleetLifecycle:
             distributed_sweep([{"x": 1}], DOUBLE_SPEC, workers=2)
         assert [t.name for t in _new_threads(before)] == []
 
-    @pytest.mark.parametrize("workers", [2.5, True, "2"])
+    @pytest.mark.parametrize("workers", [2.5, True, "2", 0])
     def test_non_integer_workers_rejected_before_binding(self, small, workers):
         before = threading.enumerate()
-        match = "workers must be an integer"
+        match = (
+            "workers must be >= 1" if workers == 0
+            else "workers must be an integer"
+        )
         with pytest.raises(SimulationError, match=match):
             distributed_grid_sweep(
                 small, {"num_sensors": [20]}, workers=workers
@@ -464,4 +471,18 @@ class TestFleetLifecycle:
             split_trials(10, workers)
         with pytest.raises(SimulationError, match=match):
             parallel_map(abs, [1, 2], workers=workers)
+        # The vectorised sweep paths never reach a pool, so they must
+        # check `workers` at entry themselves.
+        with pytest.raises(SimulationError, match=match):
+            analytical_grid_sweep(
+                small, {"num_sensors": [8, 12]}, workers=workers
+            )
+        with pytest.raises(SimulationError, match=match):
+            simulated_grid_sweep(
+                small, {"num_sensors": [8, 12]}, trials=10, workers=workers
+            )
+        with pytest.raises(SimulationError, match=match):
+            MonteCarloSimulator(small, trials=10).run(workers=workers)
+        with pytest.raises(SimulationError, match=match):
+            FusedMonteCarloEngine(small, trials=10).run(workers=workers)
         assert [t.name for t in _new_threads(before)] == []

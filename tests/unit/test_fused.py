@@ -9,8 +9,8 @@ Pins the contracts ``repro.simulation.fused`` documents:
 * determinism, parallel sharding/merging, ``result_at`` views,
   validation errors, and the ``mc.*`` counters;
 * :func:`simulated_grid_sweep` dispatch — fused vs per-point agreement
-  at ``N_max``, ``mc.fallbacks`` on non-fusable axes, the ``fused=True``
-  error, and checkpoint round-trips.
+  at ``N_max``, ``mc.fallbacks`` on non-fusable axes, and checkpoint
+  round-trips.
 """
 
 import json
@@ -228,15 +228,6 @@ class TestSimulatedGridSweep:
             small, grids, trials=TRIALS, seed=SEED, fused=False
         )
         assert fused[-1] == plain[-1]  # the bitwise anchor at N_max
-
-    def test_fused_true_raises_on_nonfusable_axis(self, small):
-        with pytest.raises(SimulationError, match="not fusable"):
-            simulated_grid_sweep(
-                small,
-                {"num_sensors": [10], "detect_prob": [0.5, 0.9]},
-                trials=10,
-                fused=True,
-            )
 
     def test_auto_falls_back_and_counts(self, small):
         with obs.instrument() as ob:

@@ -740,6 +740,34 @@ class TestSimulateSweep:
 
         run(main())
 
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [("num_sensors", [60, 120, 240]), ("threshold", [1, 3, 5])],
+    )
+    def test_degraded_sweep_rows_are_degraded_sweep_endpoint_rows(
+        self, parameter, values
+    ):
+        from repro.service.handlers import (
+            approximate_simulate,
+            approximate_sweep,
+            canonicalize_simulate,
+            canonicalize_sweep,
+        )
+
+        axis = {"parameter": parameter, "values": values}
+        degraded = approximate_simulate(
+            canonicalize_simulate(
+                {"scenario": SCENARIO, "trials": 10, "sweep": axis}
+            )
+        )
+        reference = approximate_sweep(
+            canonicalize_sweep({"scenario": SCENARIO, **axis})
+        )
+        assert degraded["parameter"] == parameter
+        assert json.dumps(degraded["rows"], sort_keys=True) == json.dumps(
+            reference["rows"], sort_keys=True
+        )
+
 
 class TestFleetServing:
     """Service-level behavior of the supervised replica fleet."""

@@ -278,10 +278,14 @@ class TestAnalyticalGridSweep:
             rows[0]["detection_probability"] < rows[1]["detection_probability"]
         )
 
-    def test_batch_true_rejects_non_batchable_axis(self, scenario):
-        with pytest.raises(AnalysisError, match="not batchable"):
+    def test_dispatch_flags_accept_only_bools(self, scenario):
+        with pytest.raises(AnalysisError, match="batch must be True or False"):
             analytical_grid_sweep(
-                scenario, {"detect_prob": [0.5]}, batch=True
+                scenario, {"num_sensors": [8]}, batch="auto"
+            )
+        with pytest.raises(SimulationError, match="fused must be True or False"):
+            simulated_grid_sweep(
+                scenario, {"num_sensors": [8]}, trials=10, fused="auto"
             )
 
     def test_unknown_field_rejected(self, scenario):
