@@ -32,8 +32,6 @@ from repro.core.temporal import t_approach_state_count
 from repro.deployment.strategies import deploy_grid_batched, deploy_uniform
 from repro.experiments.presets import ONR_COMMUNICATION_RANGE, onr_scenario
 from repro.experiments.records import ExperimentRecord
-from repro.network.graph import build_connectivity_graph
-from repro.network.latency import delivery_report
 from repro.simulation.runner import MonteCarloSimulator
 from repro.simulation.targets import (
     RandomWalkTarget,
@@ -389,6 +387,9 @@ def network_latency_experiment(
         },
     )
     import numpy as np
+
+    from repro.network.graph import build_connectivity_graph
+    from repro.network.latency import delivery_report
 
     rng = np.random.default_rng(seed)
     for count in node_counts:

@@ -408,6 +408,8 @@ class MonteCarloSimulator:
                     f"sensing_ranges must have shape ({scenario.num_sensors},), "
                     f"got {sensing_ranges.shape}"
                 )
+            if not np.isfinite(sensing_ranges).all():
+                raise SimulationError("sensing_ranges must be finite")
             if (sensing_ranges <= 0).any():
                 raise SimulationError("sensing_ranges must be positive")
         self._sensing_ranges = sensing_ranges

@@ -75,13 +75,18 @@ def segment_coverage(
             far below half the field dimensions, which sparse scenarios
             satisfy by construction.
 
+    Only the sensors inside the bounding box of a trial's track, grown by
+    ``Rs``, are tested against its segments; the others cannot be in
+    range.  The result is the same, bit for bit, as testing every sensor
+    against every segment.
+
     Returns:
         Boolean array ``(B, N, M)``: entry ``(b, s, j)`` says sensor ``s``
         covers the target during period ``j + 1`` of trial ``b``.
 
     Raises:
-        SimulationError: on shape mismatches or a missing ``field`` when
-            ``wrap=True``.
+        SimulationError: on shape mismatches, a negative or non-finite
+            ``sensing_range``, or a missing ``field`` when ``wrap=True``.
     """
     sensor_xy = np.asarray(sensor_xy, dtype=float)
     waypoints = np.asarray(waypoints, dtype=float)
@@ -111,6 +116,8 @@ def segment_coverage(
             f"per-sensor sensing_range has {sensing_range.shape[0]} entries "
             f"for {sensor_xy.shape[1]} sensors"
         )
+    if not np.isfinite(sensing_range).all():
+        raise SimulationError("sensing_range must be finite")
     if (sensing_range < 0).any():
         raise SimulationError("sensing_range must be non-negative")
     if wrap and field is None:
@@ -118,33 +125,68 @@ def segment_coverage(
 
     batch, num_sensors, _ = sensor_xy.shape
     num_periods = waypoints.shape[1] - 1
-    covered = np.empty((batch, num_sensors, num_periods), dtype=bool)
-    range_sq = sensing_range * sensing_range  # scalar or (N,), broadcasts over (B, N)
+    covered = np.zeros((batch, num_sensors, num_periods), dtype=bool)
+    range_max = float(sensing_range.max(initial=0.0))
 
+    # Candidate stage, once per trial.  Every segment lies in the box of
+    # the trial's waypoints (centre c, half-extent h).  A sensor within Rs
+    # of a segment has some image p with |p - c| <= h + Rs per axis, and
+    # the nearest image to c, wrap(s - c), is no farther; so a sensor
+    # outside the box grown by Rs covers nothing.  Where h + Rs reaches
+    # half the field the test passes every sensor on that axis.  The
+    # ``1e-9 * scale`` margin absorbs the rounding of both stages.
+    low = waypoints.min(axis=1)
+    high = waypoints.max(axis=1)
+    centre = 0.5 * (low + high)  # (B, 2)
+    scale = np.abs(waypoints).max(initial=0.0) + range_max
+    if wrap:
+        scale += field.width + field.height
+    reach = 0.5 * (high - low) + (range_max + 1e-9 * scale)  # (B, 2)
+    dx = sensor_xy[..., 0] - centre[:, 0, None]  # (B, N)
+    dy = sensor_xy[..., 1] - centre[:, 1, None]
+    if wrap:
+        dx, dy = field.wrapped_delta(dx, dy)
+    near = (np.abs(dx) <= reach[:, 0, None]) & (np.abs(dy) <= reach[:, 1, None])
+    # A non-finite waypoint says nothing about the others' segments.
+    near[~np.isfinite(reach).all(axis=1)] = True
+    trial_index, sensor_index = np.nonzero(near)  # sorted by trial
+    if trial_index.size == 0:
+        return covered
+
+    # Exact stage: the point-to-segment test, on candidate pairs only,
+    # with the same operations in the same order as a dense pass.  Per
+    # trial values reach the candidates by ``np.repeat`` over the sorted
+    # trial index.
+    per_trial = near.sum(axis=1)
+    candidates = sensor_xy[trial_index, sensor_index]  # (K, 2)
+    range_sq = sensing_range * sensing_range
+    if range_sq.ndim == 1:
+        range_sq = range_sq[sensor_index]  # (K,)
+    midpoints = 0.5 * (waypoints[:, :-1, :] + waypoints[:, 1:, :])  # (B, M, 2)
+    half_vecs = 0.5 * (waypoints[:, 1:, :] - waypoints[:, :-1, :])
+    half_len_sqs = np.einsum("bmi,bmi->bm", half_vecs, half_vecs)  # (B, M)
+    hits = np.empty((trial_index.size, num_periods), dtype=bool)
     for j in range(num_periods):
-        seg_start = waypoints[:, j, :]  # (B, 2)
-        seg_end = waypoints[:, j + 1, :]
-        midpoint = 0.5 * (seg_start + seg_end)
-        half_vec = 0.5 * (seg_end - seg_start)  # (B, 2)
-
-        delta = sensor_xy - midpoint[:, None, :]  # (B, N, 2)
+        half_vec = np.repeat(half_vecs[:, j], per_trial, axis=0)  # (K, 2)
+        half_len_sq = np.repeat(half_len_sqs[:, j], per_trial)  # (K,)
+        delta = candidates - np.repeat(midpoints[:, j], per_trial, axis=0)
         if wrap:
-            dx, dy = field.wrapped_delta(delta[..., 0], delta[..., 1])
-            delta = np.stack([dx, dy], axis=-1)
-
-        half_len_sq = np.einsum("bi,bi->b", half_vec, half_vec)  # (B,)
-        projection = np.einsum("bni,bi->bn", delta, half_vec)  # (B, N)
+            delta = np.stack(
+                field.wrapped_delta(delta[:, 0], delta[:, 1]), axis=-1
+            )
+        projection = np.einsum("ki,ki->k", delta, half_vec)
         with np.errstate(invalid="ignore", divide="ignore"):
             t = np.where(
-                half_len_sq[:, None] > 0.0,
-                projection / np.where(half_len_sq[:, None] > 0.0, half_len_sq[:, None], 1.0),
+                half_len_sq > 0.0,
+                projection / np.where(half_len_sq > 0.0, half_len_sq, 1.0),
                 0.0,
             )
         t = np.clip(t, -1.0, 1.0)
-        closest = t[:, :, None] * half_vec[:, None, :]
+        closest = t[:, None] * half_vec
         offset = delta - closest
-        dist_sq = np.einsum("bni,bni->bn", offset, offset)
-        covered[:, :, j] = dist_sq <= range_sq
+        dist_sq = np.einsum("ki,ki->k", offset, offset)
+        hits[:, j] = dist_sq <= range_sq
+    covered[trial_index, sensor_index] = hits
     return covered
 
 

@@ -144,3 +144,13 @@ class TestHeterogeneousSimulation:
             MonteCarloSimulator(
                 small, sensing_ranges=np.zeros(small.num_sensors)
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sensing_ranges_rejected(self, small, bad):
+        from repro.errors import SimulationError
+        from repro.simulation.runner import MonteCarloSimulator
+
+        ranges = np.full(small.num_sensors, small.sensing_range)
+        ranges[1] = bad
+        with pytest.raises(SimulationError, match="finite"):
+            MonteCarloSimulator(small, sensing_ranges=ranges)

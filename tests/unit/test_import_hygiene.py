@@ -1,9 +1,10 @@
-"""Cold-start guard: ``import repro`` loads no ``scipy.stats`` or ``scipy.signal``.
+"""Cold-start guard: ``import repro`` loads no ``scipy.stats``, ``scipy.signal`` or networkx.
 
-Each costs ~1 s to import and no analysis, sweep, service or stream path
-needs it at start-up, so the modules that use them import them inside the
-function.  The check runs in a fresh interpreter, because this test
-process has long since imported both.
+The scipy modules cost ~1 s to import and networkx ~0.15 s, and no
+analysis, sweep, service or stream path needs them at start-up, so the
+modules that use them import them inside the function.  The check runs in
+a fresh interpreter, because this test process has long since imported
+all three.
 """
 
 import json
@@ -24,7 +25,7 @@ ENTRY_POINTS = (
     "repro.streaming",
     "repro.streaming.cli",
 )
-DEFERRED = ("scipy.stats", "scipy.signal")
+DEFERRED = ("scipy.stats", "scipy.signal", "networkx")
 
 
 def _deferred_modules_loaded_after(code: str) -> dict:
@@ -58,4 +59,13 @@ def test_single_period_analysis_loads_scipy_stats_on_first_use():
         "s = repro.onr_scenario(window=1, threshold=1)\n"
         "assert 0.0 < detection_probability_single_period(s) < 1.0\n"
     )
-    assert loaded == {"scipy.stats": True, "scipy.signal": False}
+    assert loaded == {"scipy.stats": True, "scipy.signal": False, "networkx": False}
+
+
+def test_network_latency_experiment_loads_networkx_on_first_use():
+    loaded = _deferred_modules_loaded_after(
+        "from repro.experiments.figures import network_latency_experiment\n"
+        "record = network_latency_experiment(node_counts=(60,), deployments=1)\n"
+        "assert len(record.rows) == 1\n"
+    )
+    assert loaded["networkx"] is True

@@ -78,6 +78,16 @@ class TestSegmentCoverage:
         with pytest.raises(SimulationError):
             segment_coverage(sensors, waypoints, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_range_rejected(self, bad):
+        sensors, waypoints = single_trial(
+            [[0.0, 0.0], [5.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+        )
+        with pytest.raises(SimulationError, match="finite"):
+            segment_coverage(sensors, waypoints, bad)
+        with pytest.raises(SimulationError, match="finite"):
+            segment_coverage(sensors, waypoints, np.array([1.0, bad]))
+
 
 class TestSampleDetections:
     def test_certain_detection_copies_coverage(self, rng):
