@@ -9,12 +9,12 @@ matched **exactly** (integer-identical argmins, byte-identical canonical
 rows via ``json.dumps(sort_keys=True)``).
 
 The headline column is ``ratio`` (adaptive / dense *evaluations*): the
-oracle evaluation count is what a distributed fleet or an evaluation
-budget meters, and the adaptive tier's contract is 10-100x fewer of
-them for the identical answer.  Wall-clock seconds are recorded for
+oracle evaluation count is what an evaluation budget meters, and the
+adaptive tier's contract is 10-100x fewer of them for the identical
+answer.  Wall-clock seconds are recorded for
 context only — in-process the dense path answers whole axes from one
 batched survival stack, so its *seconds* per evaluation are far cheaper
-than a fleet's; no timing gate is asserted here.
+than a point-by-point search's; no timing gate is asserted here.
 
 In-test gates (also pinned against the committed record by
 ``bench_regression.py``):

@@ -6,11 +6,7 @@ frontiers, feasibility slices — from 10-100x fewer oracle evaluations
 than the dense grid scans, while returning **identical** answers.  See
 :mod:`repro.adaptive.search` for the exactness contract and
 :mod:`repro.adaptive.evaluators` for the pluggable evaluator seam
-(in-process / cached / distributed fleet).
-
-:class:`FleetEvaluator` lives in :mod:`repro.distributed` (it is the
-fleet's adapter, not the search layer's) and is re-exported here lazily
-so importing ``repro.adaptive`` never drags in the orchestrator.
+(in-process or cached).
 """
 
 from repro.adaptive.evaluators import (
@@ -36,7 +32,6 @@ __all__ = [
     "CachedEvaluator",
     "EvaluationLedger",
     "Evaluator",
-    "FleetEvaluator",
     "InProcessEvaluator",
     "MonotoneOracle",
     "adaptive_design_slice",
@@ -49,10 +44,3 @@ __all__ = [
     "dense_rule_frontier",
 ]
 
-
-def __getattr__(name):
-    if name == "FleetEvaluator":
-        from repro.distributed.evaluator import FleetEvaluator
-
-        return FleetEvaluator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,20 +6,19 @@ scenario and a batch of sweep-style replacement points (the exact shape
 overrides plus an optional ``"threshold"``), it returns one model
 detection probability per point.  Searches never build engines
 themselves; they go through this seam, so the same bisection code runs
-against the in-process batched engine, the process-wide
-:mod:`repro.cache`, or the PR-9 distributed fleet
-(:class:`repro.distributed.FleetEvaluator`) unchanged.
+against the in-process batched engine or the process-wide
+:mod:`repro.cache` unchanged, and tests substitute fakes through the
+:class:`Evaluator` base class.
 
 Exactness contract
 ------------------
 
 Every evaluator must return values **bitwise identical** to the batched
-grid the dense scans read.  That holds because all of them bottom out in
+grid the dense scans read.  That holds because both of them bottom out in
 :class:`repro.core.batched.BatchedMarkovSpatialAnalysis`, whose kernels
 are batch-invariant (a singleton evaluation equals the matching grid
-cell byte-for-byte), and because the distributed wire format round-trips
-floats exactly (JSON ``repr``).  ``tests/integration/
-test_adaptive_matrix.py`` pins this for all three evaluators.
+cell byte-for-byte).  ``tests/integration/test_adaptive_matrix.py``
+pins this for both evaluators.
 
 Accounting
 ----------
@@ -28,7 +27,7 @@ Each evaluator owns (or shares) an
 :class:`repro.adaptive.ledger.EvaluationLedger`.  ``evaluate`` and
 ``grid`` charge every point they *compute* — the budget is pre-checked
 before a batch is dispatched, but the charge itself lands only after
-the computation succeeds, so a failed or timed-out dispatch consumes no
+the computation succeeds, so a failed dispatch consumes no
 budget and inflates no counters.  The caching evaluator charges only
 misses and books hits separately — a cache hit must never inflate the
 evaluation count the oracle-equivalence tier asserts on.
@@ -93,7 +92,7 @@ class Evaluator:
         """Detection probability for each replacement point, in order.
 
         The budget is checked *before* dispatching (a runaway search
-        cannot burn a fleet), but the ledger is charged only *after* the
+        stops before the work), but the ledger is charged only *after* the
         batch computes — a dispatch that raises consumes nothing.
         """
         points = list(points)

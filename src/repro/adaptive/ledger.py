@@ -2,7 +2,7 @@
 
 Every adaptive query charges the points it actually evaluated to an
 :class:`EvaluationLedger` — one shared ledger per evaluator, so a query
-that dispatches through a cache or a fleet still reports one coherent
+that dispatches through a cache still reports one coherent
 total.  The ledger is what the oracle-equivalence tier asserts on: an
 adaptive answer is only interesting if it is *identical* to the dense
 scan's answer **and** the ledger shows it touched a fraction of the
@@ -30,10 +30,9 @@ An optional ``budget`` turns the ledger into a hard stop: evaluators
 call :meth:`EvaluationLedger.precheck` *before* dispatching a batch —
 a batch that would exceed the budget raises
 :class:`BudgetExceededError` before any work starts, so a runaway
-search cannot silently burn a fleet — and :meth:`~EvaluationLedger.charge`
-only *after* the batch computes, so a failed or timed-out dispatch
-(e.g. a fleet round that raises) consumes no budget and inflates no
-counters.
+search cannot silently burn compute — and :meth:`~EvaluationLedger.charge`
+only *after* the batch computes, so a failed dispatch consumes no
+budget and inflates no counters.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ approximate**:
 
 ``tests/integration/test_adaptive_matrix.py`` (the oracle-equivalence
 tier) pins adaptive == dense for every query type on pinned scenarios
-across the in-process, cached, and distributed evaluators;
+across the in-process and cached evaluators;
 ``tests/property/test_prop_adaptive.py`` proves the bisection cores on
 random synthetic oracles, including injected violations.
 
@@ -105,28 +105,12 @@ class MonotoneOracle:
         return all(a >= b for a, b in zip(values, values[1:]))
 
 
-def _interior_cuts(lo: int, hi: int, round_points: int) -> List[int]:
-    """Up to ``round_points`` distinct indexes strictly inside (lo, hi).
-
-    Evenly spaced section points: with ``round_points=1`` this is plain
-    bisection; larger values trade evaluations for rounds (useful when a
-    round is a fleet dispatch and per-round latency dominates).
-    """
-    span = hi - lo
-    cuts = min(round_points, span - 1)
-    mids = sorted(
-        {lo + span * (j + 1) // (cuts + 1) for j in range(cuts)} - {lo, hi}
-    )
-    return mids
-
-
 def bisect_first_meeting(
     oracle: MonotoneOracle,
     lo: int,
     hi: int,
     target: float,
     ledger: EvaluationLedger,
-    round_points: int = 1,
 ) -> Optional[int]:
     """Smallest index in ``[lo, hi]`` with value >= ``target``, or ``None``.
 
@@ -140,8 +124,7 @@ def bisect_first_meeting(
     narrowing step trusted a lie, so the shrunken bracket cannot be
     assumed to contain the dense answer.
 
-    Evaluations: at most ``ceil(log2(hi - lo)) + 2`` with
-    ``round_points=1`` (property-tested).
+    Evaluations: at most ``ceil(log2(hi - lo)) + 2`` (property-tested).
     """
     if lo > hi:
         raise AnalysisError(f"empty search range [{lo}, {hi}]")
@@ -155,16 +138,15 @@ def bisect_first_meeting(
     if v_hi < target:
         return None
     while hi - lo > 1:
-        mids = _interior_cuts(lo, hi, round_points)
-        values = oracle.get(mids)
+        mid = lo + (hi - lo) // 2
+        (value,) = oracle.get([mid])
         if not oracle.consistent():
             return _dense_first_meeting(
                 oracle, orig_lo, orig_hi, target, ledger
             )
-        for mid, value in zip(mids, values):
-            if value >= target:
-                hi = mid
-                break
+        if value >= target:
+            hi = mid
+        else:
             lo = mid
     return hi
 
@@ -175,7 +157,6 @@ def bisect_last_meeting(
     hi: int,
     target: float,
     ledger: EvaluationLedger,
-    round_points: int = 1,
 ) -> Optional[int]:
     """Dense ``maximum_threshold`` semantics from O(log) evaluations.
 
@@ -201,16 +182,15 @@ def bisect_last_meeting(
     if v_hi >= target:
         return hi
     while hi - lo > 1:
-        mids = _interior_cuts(lo, hi, round_points)
-        values = oracle.get(mids)
+        mid = lo + (hi - lo) // 2
+        (value,) = oracle.get([mid])
         if not oracle.consistent():
             return _dense_last_meeting(
                 oracle, orig_lo, orig_hi, target, ledger
             )
-        for mid, value in zip(mids, values):
-            if value < target:
-                hi = mid
-                break
+        if value < target:
+            hi = mid
+        else:
             lo = mid
     return lo
 
@@ -273,7 +253,6 @@ def adaptive_minimum_sensors(
     max_sensors: int = 2_000,
     truncation: int = 3,
     evaluator: Optional[Evaluator] = None,
-    round_points: int = 1,
 ) -> Optional[int]:
     """:func:`repro.core.design.minimum_sensors`, bisected along ``N``.
 
@@ -294,7 +273,7 @@ def adaptive_minimum_sensors(
     )
     before = ev.ledger.evaluations
     result = bisect_first_meeting(
-        oracle, 1, max_sensors, required_probability, ev.ledger, round_points
+        oracle, 1, max_sensors, required_probability, ev.ledger
     )
     spent = ev.ledger.evaluations - before
     ev.ledger.note_skipped(_dense_chunk_cost(result, max_sensors) - spent)
@@ -311,13 +290,12 @@ def adaptive_maximum_threshold(
     required_probability: float,
     truncation: int = 3,
     evaluator: Optional[Evaluator] = None,
-    round_points: int = 1,
 ) -> Optional[int]:
     """:func:`repro.core.design.maximum_threshold`, bisected along ``k``.
 
     The dense path answers the whole ``k`` axis from one survival
     function; this touches ``O(log k_max)`` points instead — the win is
-    the *evaluation count* (what a fleet or a budget meters), pinned
+    the *evaluation count* (what a budget meters), pinned
     identical in answer by the oracle-equivalence tier.
     """
     _check_probability(required_probability)
@@ -331,7 +309,7 @@ def adaptive_maximum_threshold(
     )
     before = ev.ledger.evaluations
     result = bisect_last_meeting(
-        oracle, 1, ceiling, required_probability, ev.ledger, round_points
+        oracle, 1, ceiling, required_probability, ev.ledger
     )
     spent = ev.ledger.evaluations - before
     ev.ledger.note_skipped(ceiling - spent)
@@ -343,7 +321,6 @@ def adaptive_rule_frontier(
     targets: Sequence[float],
     truncation: int = 3,
     evaluator: Optional[Evaluator] = None,
-    round_points: int = 1,
 ) -> List[dict]:
     """Largest safe ``k`` for each detection target, O(log) points per target.
 
@@ -371,9 +348,7 @@ def adaptive_rule_frontier(
     before = ev.ledger.evaluations
     rows = []
     for target in targets:
-        threshold = bisect_last_meeting(
-            oracle, 1, ceiling, target, ev.ledger, round_points
-        )
+        threshold = bisect_last_meeting(oracle, 1, ceiling, target, ev.ledger)
         rows.append(_frontier_row(oracle, target, threshold))
     spent = ev.ledger.evaluations - before
     ev.ledger.note_skipped(ceiling - spent)
@@ -460,7 +435,6 @@ def adaptive_design_slice(
     required_probability: float,
     truncation: int = 3,
     evaluator: Optional[Evaluator] = None,
-    round_points: int = 1,
 ) -> List[dict]:
     """Minimal feasible ``Rs`` per target speed, coarse-to-fine.
 
@@ -509,7 +483,7 @@ def adaptive_design_slice(
                 warmed = True
         if not warmed:
             answer = bisect_first_meeting(
-                oracle, 0, last, required_probability, ev.ledger, round_points
+                oracle, 0, last, required_probability, ev.ledger
             )
         rows.append(
             canonical_row(

@@ -14,7 +14,7 @@ in-process :class:`repro.core.batched.BatchedMarkovSpatialAnalysis`
 evaluating whole ``N`` chunks (or the whole ``k`` axis, answered from
 one survival function) per kernel call instead of one scalar pipeline
 per candidate.  Passing ``evaluator=`` redirects the same scans through
-the point cache or the distributed fleet, and charges their dense cost
+the point cache, and charges their dense cost
 to the evaluator's ledger — which is how the oracle-equivalence tier
 compares them against :mod:`repro.adaptive.search`, the bisection layer
 that answers these queries exactly from O(log) points.

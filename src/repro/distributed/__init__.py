@@ -24,7 +24,6 @@ kill/resume interleaving.  See ``docs/distributed.md``.
 """
 
 from repro.distributed.coordinator import SweepCoordinator
-from repro.distributed.evaluator import FleetEvaluator
 from repro.distributed.leases import LeaseBook
 from repro.distributed.orchestrator import LocalFleet, distributed_sweep
 from repro.distributed.worker import (
@@ -34,7 +33,6 @@ from repro.distributed.worker import (
 )
 
 __all__ = [
-    "FleetEvaluator",
     "LeaseBook",
     "LocalFleet",
     "SweepCoordinator",

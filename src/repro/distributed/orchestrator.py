@@ -22,9 +22,10 @@ import os
 import signal
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import SimulationError, require_count
+from repro.errors import SimulationError
 from repro.distributed.coordinator import SweepCoordinator
 from repro.distributed.worker import worker_main
+from repro.parallel import _validate_resilience, _validate_workers
 
 __all__ = ["LocalFleet", "distributed_sweep"]
 
@@ -55,9 +56,7 @@ class LocalFleet:
         port: int = 0,
         on_progress: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        require_count("workers", workers, SimulationError)
-        if workers < 1:
-            raise SimulationError(f"workers must be >= 1, got {workers}")
+        _validate_workers(workers)
         self.coordinator = SweepCoordinator(
             points,
             spec,
@@ -169,7 +168,12 @@ def distributed_sweep(
     serial checkpointed path; see
     :func:`repro.experiments.sweeps.distributed_grid_sweep` for the
     user-facing grid wrapper.
+
+    Raises:
+        SimulationError: a ``timeout`` that is not ``None`` or a finite
+            number of seconds > 0 (checked before the fleet starts).
     """
+    _validate_resilience(timeout)
     fleet = LocalFleet(
         points,
         spec,

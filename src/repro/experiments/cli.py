@@ -28,7 +28,7 @@ import argparse
 import math
 import pathlib
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.experiments import figures
@@ -298,23 +298,45 @@ def _parse_grid_axes(specs: List[str]) -> Dict[str, List[Any]]:
     return grids
 
 
+def _parse_address(flag: str, text: str) -> Tuple[str, int]:
+    """Parse ``--connect`` / ``--coordinator`` ``HOST:PORT`` values.
+
+    An empty host means ``127.0.0.1``; the port is a decimal in
+    ``0..65535``.
+
+    Raises:
+        ValueError: on a missing or malformed port.
+    """
+    host, separator, port = text.rpartition(":")
+    if not separator or not (port.isascii() and port.isdigit()):
+        raise ValueError(f"{flag} expects HOST:PORT, got {text!r}")
+    if int(port) > 65535:
+        raise ValueError(f"{flag} port must be in 0..65535, got {port}")
+    return host or "127.0.0.1", int(port)
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     """The ``repro sweep`` subcommand: serial, distributed, or worker."""
     from repro.experiments import presets
     from repro.experiments import sweeps
 
-    if args.connect:
-        from repro.distributed import run_worker
-
-        host, _, port = args.connect.rpartition(":")
-        computed = run_worker(host or "127.0.0.1", int(port))
-        print(f"worker finished: computed {computed} points")
-        return 0
     try:
-        grids = _parse_grid_axes(args.grid)
+        if args.connect:
+            host, port = _parse_address("--connect", args.connect)
+        else:
+            grids = _parse_grid_axes(args.grid)
+            host, port = _parse_address(
+                "--coordinator", args.coordinator or "127.0.0.1:0"
+            )
     except ValueError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
+    if args.connect:
+        from repro.distributed import run_worker
+
+        computed = run_worker(host, port)
+        print(f"worker finished: computed {computed} points")
+        return 0
     if not grids:
         print(
             "repro sweep: at least one --grid FIELD=... axis is required",
@@ -327,15 +349,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
         else presets.onr_scenario()
     )
     if args.distributed:
-        host, _, port = (args.coordinator or "127.0.0.1:0").rpartition(":")
         rows = sweeps.distributed_grid_sweep(
             scenario,
             grids,
             kind=args.kind,
             workers=args.workers,
             checkpoint=args.checkpoint,
-            host=host or "127.0.0.1",
-            port=int(port),
+            host=host,
+            port=port,
             trials=args.trials,
             seed=args.seed,
         )

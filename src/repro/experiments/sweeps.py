@@ -5,7 +5,11 @@ Both helpers accept ``workers=N``: grid points are evaluated by
 parallel and serial sweeps return identical row lists whenever ``compute``
 is deterministic.  ``compute`` must then be picklable (a module-level
 function or :func:`functools.partial`) — lambdas and closures only work at
-``workers=1``.
+``workers=1``.  That pool is the one local multi-worker executor.
+:func:`distributed_grid_sweep` runs the same grids on a
+:mod:`repro.distributed` work-stealing fleet instead — the path for
+workers on other hosts (``repro sweep --distributed`` / ``--connect``) —
+and writes byte-identical rows and checkpoint files.
 
 Checkpoint/resume
 -----------------
@@ -195,8 +199,6 @@ def _run_points(
     workers: int,
     kwargs_items: bool,
     checkpoint: Optional[str],
-    timeout: Optional[float],
-    max_retries: int,
     canonical: bool = False,
 ) -> List[Dict[str, Any]]:
     """Shared sweep engine: resume from checkpoint, compute the rest.
@@ -263,8 +265,6 @@ def _run_points(
             [points[index] for index in missing],
             workers=workers,
             kwargs_items=kwargs_items,
-            timeout=timeout,
-            max_retries=max_retries,
             on_result=on_result,
         )
         for position, index in enumerate(missing):
@@ -280,8 +280,6 @@ def sweep(
     compute: Callable[[Any], Dict[str, Any]],
     workers: int = 1,
     checkpoint: Optional[str] = None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
 ) -> List[Dict[str, Any]]:
     """Apply ``compute`` to each value, returning one row dict per value.
 
@@ -291,8 +289,6 @@ def sweep(
         workers: process count; ``1`` (default) runs inline.
         checkpoint: optional JSON path; completed rows persist there and a
             rerun resumes from them (see the module docstring).
-        timeout: optional per-point wall-clock bound (pool mode).
-        max_retries: worker-crash retries per point before falling back.
     """
     return _run_points(
         list(values),
@@ -300,8 +296,6 @@ def sweep(
         workers=workers,
         kwargs_items=False,
         checkpoint=checkpoint,
-        timeout=timeout,
-        max_retries=max_retries,
     )
 
 
@@ -310,8 +304,6 @@ def grid_sweep(
     compute: Callable[..., Dict[str, Any]],
     workers: int = 1,
     checkpoint: Optional[str] = None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
 ) -> List[Dict[str, Any]]:
     """Cartesian-product sweep.
 
@@ -322,8 +314,6 @@ def grid_sweep(
         workers: process count; ``1`` (default) runs inline.
         checkpoint: optional JSON path; completed rows persist there and a
             rerun resumes from them (see the module docstring).
-        timeout: optional per-point wall-clock bound (pool mode).
-        max_retries: worker-crash retries per point before falling back.
 
     Returns:
         Rows in row-major (first key slowest) order.
@@ -334,8 +324,6 @@ def grid_sweep(
         workers=workers,
         kwargs_items=True,
         checkpoint=checkpoint,
-        timeout=timeout,
-        max_retries=max_retries,
     )
 
 
@@ -433,8 +421,6 @@ def analytical_grid_sweep(
     normalize: bool = True,
     workers: int = 1,
     checkpoint: Optional[str] = None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
     batch: bool = True,
 ) -> List[Dict[str, Any]]:
     """Sweep the M-S-approach ``P_M[X >= k]`` over a grid of scenario fields.
@@ -454,7 +440,6 @@ def analytical_grid_sweep(
         checkpoint: optional JSON path, same format and resume semantics
             as :func:`grid_sweep` — and byte-identical between the two
             dispatch paths.
-        timeout / max_retries: per-point pool options (per-point path).
         batch: ``True`` (default) answers the grid with one batched
             kernel call when every swept field is in
             :data:`BATCHED_FIELDS`, and per point otherwise; ``False``
@@ -509,8 +494,6 @@ def analytical_grid_sweep(
         workers=workers,
         kwargs_items=True,
         checkpoint=checkpoint,
-        timeout=timeout,
-        max_retries=max_retries,
         canonical=True,
     )
 
@@ -568,8 +551,6 @@ def simulated_grid_sweep(
     batch_size: int = 512,
     workers: int = 1,
     checkpoint: Optional[str] = None,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
     fused: bool = True,
 ) -> List[Dict[str, Any]]:
     """Monte Carlo detection probability over a grid of scenario fields.
@@ -592,8 +573,6 @@ def simulated_grid_sweep(
             :func:`grid_sweep`.  A checkpoint written by one dispatch
             path must not resume the other (the fingerprint only covers
             the point list), so resume with the same ``fused`` value.
-        timeout / max_retries: per-point pool options (per-point path;
-            the fused path's shards run without them).
         fused: ``True`` (default) answers the grid with one fused pass
             when every swept field is in :data:`BATCHED_FIELDS`, and
             with one simulator per point otherwise; ``False`` always
@@ -645,8 +624,6 @@ def simulated_grid_sweep(
         workers=workers,
         kwargs_items=True,
         checkpoint=checkpoint,
-        timeout=timeout,
-        max_retries=max_retries,
         canonical=True,
     )
 

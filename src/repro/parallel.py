@@ -61,8 +61,10 @@ crash retries, no timeout; :func:`parallel_map` takes both as options):
 
 from __future__ import annotations
 
+import numbers
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -241,13 +243,28 @@ def _abandon_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _validate_resilience(timeout: Optional[float], max_retries: int) -> None:
-    if timeout is not None and timeout <= 0:
-        raise SimulationError(f"timeout must be positive or None, got {timeout}")
-    if not isinstance(max_retries, (int, np.integer)) or max_retries < 0:
+def _validate_resilience(
+    timeout: Optional[float], max_retries: int = 0
+) -> None:
+    """Reject bad pool/fleet bounds before any process starts.
+
+    ``timeout`` must be ``None`` or a real number of seconds in
+    ``(0, threading.TIMEOUT_MAX]`` — bools, strings, NaN and ±inf are
+    refused here rather than busy-waiting or overflowing mid-run — and
+    ``max_retries`` an integer >= 0 (not a bool).
+    """
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, numbers.Real)
+        or not 0 < timeout <= threading.TIMEOUT_MAX
+    ):
         raise SimulationError(
-            f"max_retries must be an integer >= 0, got {max_retries!r}"
+            "timeout must be None or a finite number of seconds > 0, "
+            f"got {timeout!r}"
         )
+    require_count("max_retries", max_retries, SimulationError)
+    if max_retries < 0:
+        raise SimulationError(f"max_retries must be >= 0, got {max_retries}")
 
 
 def _execute_resilient(

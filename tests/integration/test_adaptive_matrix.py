@@ -1,8 +1,7 @@
 """The oracle-equivalence tier: adaptive answers == dense answers.
 
 For every pinned scenario (including a degraded-faults one) and every
-evaluator backend — in-process, cached, and a 2-worker distributed
-fleet — each adaptive query must return an answer **identical** to the
+evaluator backend — in-process and cached — each adaptive query must return an answer **identical** to the
 dense-grid scan's (argmin-identical integers, byte-identical canonical
 frontier rows), while its ledger records strictly fewer oracle
 evaluations than the dense scan charges; in aggregate the matrix must
@@ -12,7 +11,7 @@ record).
 
 Dense references are computed once per scenario on the in-process
 engine: dense answers are evaluator-independent by the batch-invariance
-and wire-exactness contracts, which is precisely what this tier pins.
+contract, which is precisely what this tier pins.
 """
 
 import json
@@ -31,7 +30,6 @@ from repro.cache import clear_analysis_cache
 from repro.core.design import maximum_threshold, minimum_sensors
 from repro.core.scenario import Scenario
 from repro.deployment.field import SensorField
-from repro.distributed import FleetEvaluator
 from repro.experiments.presets import small_scenario
 from repro.faults import FaultModel, degraded_scenario
 
@@ -70,20 +68,13 @@ SCENARIOS = {
     ),
 }
 
-BACKENDS = ("in-process", "cached", "distributed")
+BACKENDS = ("in-process", "cached")
 
 
 def make_evaluator(backend):
     if backend == "in-process":
         return InProcessEvaluator()
-    if backend == "cached":
-        return CachedEvaluator()
-    return FleetEvaluator(workers=2, timeout=180)
-
-
-#: Fleet rounds are whole sweeps: batch a few section points per round
-#: so fleet spin-up is paid O(log_4) times instead of O(log_2).
-ROUND_POINTS = {"in-process": 1, "cached": 1, "distributed": 3}
+    return CachedEvaluator()
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +113,6 @@ def dense():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_adaptive_matrix(dense, backend):
     clear_analysis_cache()
-    round_points = ROUND_POINTS[backend]
     spent_total = 0
     dense_total = 0
     for name, reference in dense.items():
@@ -135,7 +125,6 @@ def test_adaptive_matrix(dense, backend):
             MIN_SENSORS_TARGET,
             max_sensors=MIN_SENSORS_CEILING,
             evaluator=evaluator,
-            round_points=round_points,
         )
         spent = evaluator.ledger.evaluations
         assert answer == reference["minimum_sensors"], label
@@ -149,7 +138,6 @@ def test_adaptive_matrix(dense, backend):
             scenario,
             THRESHOLD_TARGET,
             evaluator=evaluator,
-            round_points=round_points,
         )
         spent = evaluator.ledger.evaluations
         assert answer == reference["maximum_threshold"], label
@@ -162,7 +150,6 @@ def test_adaptive_matrix(dense, backend):
             scenario,
             FRONTIER_TARGETS,
             evaluator=evaluator,
-            round_points=round_points,
         )
         spent = evaluator.ledger.evaluations
         assert json.dumps(rows, sort_keys=True) == json.dumps(

@@ -39,7 +39,7 @@ def oracle_from(values, direction, counter=None):
 
 
 class ExplodingEvaluator(Evaluator):
-    """An evaluator whose every dispatch fails (a lost fleet round).
+    """An evaluator whose every dispatch fails.
 
     Subclasses the seam base directly so both ``evaluate`` and ``grid``
     route through the failing ``_compute_points`` hook.
@@ -187,18 +187,6 @@ class TestBisectionCores:
         )
         assert ledger.fallbacks == 1
         assert got == 0
-
-    def test_round_points_sections_cut_rounds(self):
-        values = list(np.linspace(0.0, 1.0, 82))
-        counter = [0]
-        ledger = EvaluationLedger()
-        got = bisect_first_meeting(
-            oracle_from(values, +1, counter), 0, 81, 0.5, ledger,
-            round_points=3,
-        )
-        assert got == next(i for i, v in enumerate(values) if v >= 0.5)
-        # log_4(81) = ~3.2 rounds of 3 points + 2 endpoints.
-        assert counter[0] <= 3 * 5 + 2
 
     def test_empty_range_rejected(self):
         with pytest.raises(AnalysisError):

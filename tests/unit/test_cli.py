@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.experiments.cli import _parse_grid_axes, build_parser, main
+from repro.experiments.cli import (
+    _parse_address,
+    _parse_grid_axes,
+    build_parser,
+    main,
+)
 from repro.obs import read_jsonl
 
 
@@ -206,3 +211,33 @@ class TestBackendOption:
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(argv)
             assert excinfo.value.code == 2
+
+
+class TestSweepAddresses:
+    def test_parse_address(self):
+        assert _parse_address("--connect", "10.0.0.2:7000") == (
+            "10.0.0.2",
+            7000,
+        )
+        assert _parse_address("--coordinator", ":0") == ("127.0.0.1", 0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--connect", "localhost"],
+            ["sweep", "--connect", "localhost:"],
+            ["sweep", "--connect", "localhost:99999"],
+            ["sweep", "--connect", "localhost:-1"],
+            [
+                "sweep",
+                "--distributed",
+                "--coordinator",
+                "127.0.0.1:http",
+                "--grid",
+                "num_sensors=20",
+            ],
+        ],
+    )
+    def test_bad_address_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("repro sweep: ")

@@ -13,9 +13,7 @@ import threading
 
 import pytest
 
-from repro.adaptive import adaptive_minimum_sensors
 from repro.distributed import (
-    FleetEvaluator,
     LeaseBook,
     LocalFleet,
     SweepCoordinator,
@@ -25,7 +23,6 @@ from repro.distributed import (
 )
 from repro.distributed import orchestrator, protocol
 from repro.errors import (
-    AnalysisError,
     ProtocolError,
     SimulationError,
     StreamError,
@@ -36,6 +33,7 @@ from repro.experiments.sweeps import (
     distributed_grid_sweep,
     simulated_grid_sweep,
 )
+from repro import parallel
 from repro.parallel import parallel_map, split_trials
 from repro.simulation.fused import FusedMonteCarloEngine
 from repro.simulation.runner import MonteCarloSimulator
@@ -414,6 +412,16 @@ def _new_threads(before):
     return [thread for thread in threading.enumerate() if thread not in before]
 
 
+def _refuse_starts(monkeypatch):
+    """Make any process pool or fleet start fail the test loudly."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool or fleet started before validation")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(orchestrator, "LocalFleet", refuse)
+
+
 class TestFleetLifecycle:
     """Every fleet tears its coordinator down: no ``dist-accept`` thread
     outlives the sweep, whether it finished, failed to start, or was
@@ -425,18 +433,6 @@ class TestFleetLifecycle:
             small, {"num_sensors": [20, 40]}, workers=2
         )
         assert len(rows) == 2
-        assert [t.name for t in _new_threads(before)] == []
-
-    def test_fleet_evaluated_query_leaves_no_accept_thread(self, small):
-        before = threading.enumerate()
-        answer = adaptive_minimum_sensors(
-            small,
-            0.9,
-            max_sensors=200,
-            evaluator=FleetEvaluator(workers=2),
-            round_points=3,
-        )
-        assert answer is not None
         assert [t.name for t in _new_threads(before)] == []
 
     def test_failed_start_tears_the_fleet_down(self, monkeypatch):
@@ -465,8 +461,6 @@ class TestFleetLifecycle:
             )
         with pytest.raises(SimulationError, match=match):
             LocalFleet([{"x": 1}], DOUBLE_SPEC, workers=workers)
-        with pytest.raises(AnalysisError, match=match):
-            FleetEvaluator(workers=workers)
         with pytest.raises(SimulationError, match=match):
             split_trials(10, workers)
         with pytest.raises(SimulationError, match=match):
@@ -486,3 +480,28 @@ class TestFleetLifecycle:
         with pytest.raises(SimulationError, match=match):
             FusedMonteCarloEngine(small, trials=10).run(workers=workers)
         assert [t.name for t in _new_threads(before)] == []
+
+    @pytest.mark.parametrize(
+        "timeout", [True, float("nan"), float("inf"), -float("inf"), "5", 0]
+    )
+    def test_hostile_timeout_rejected_before_start(
+        self, small, monkeypatch, timeout
+    ):
+        _refuse_starts(monkeypatch)
+        match = "timeout must be None or a finite number"
+        with pytest.raises(SimulationError, match=match):
+            parallel_map(abs, [1, 2], workers=2, timeout=timeout)
+        with pytest.raises(SimulationError, match=match):
+            distributed_sweep([{"x": 1}], DOUBLE_SPEC, timeout=timeout)
+        with pytest.raises(SimulationError, match=match):
+            distributed_grid_sweep(
+                small, {"num_sensors": [20]}, timeout=timeout
+            )
+
+    @pytest.mark.parametrize("max_retries", [True, 1.5, "2", -1])
+    def test_hostile_max_retries_rejected_before_start(
+        self, monkeypatch, max_retries
+    ):
+        _refuse_starts(monkeypatch)
+        with pytest.raises(SimulationError, match="max_retries must be"):
+            parallel_map(abs, [1, 2], workers=2, max_retries=max_retries)
