@@ -19,6 +19,7 @@ batched report grids      ``sensing_range``, ``step_length``, ``window``,
                           substeps + the ``N``-axis bytes (not ``k``)
 Monte Carlo area est.     ``sensing_range``, ``step_length``, periods,
                           samples, integer seed (uncached otherwise)
+``Binomial(i, Pd)`` rows  coverage count ``i``, ``detect_prob``
 ========================  ====================================================
 
 ``threshold`` (``k``) appears in *no* key — sweeping the detection rule is

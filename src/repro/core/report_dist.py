@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cache import cached_array
 from repro.errors import DistributionError
 
 __all__ = [
@@ -102,6 +103,11 @@ def conditional_report_pmf(
     Returns:
         Pmf ``q`` with ``q[m] = sum_i (subareas[i]/total) * Binom(m; i, Pd)``,
         length ``i_max + 1``.
+
+    The ``Binomial(i, Pd)`` rows are memoised (read-only) in the
+    process-wide analysis cache under ``("binomial_pmf", i, Pd)``: sweeps
+    mix the same rows at every point.  The mix itself stays a
+    row-by-row accumulation, so the result is bitwise the unmemoised one.
     """
     areas = _validate_subareas(subareas)
     total = areas.sum()
@@ -111,7 +117,11 @@ def conditional_report_pmf(
         weight = areas[coverage] / total
         if weight == 0.0:
             continue
-        pmf[: coverage + 1] += weight * binomial_pmf(coverage, detect_prob)
+        row = cached_array(
+            ("binomial_pmf", coverage, detect_prob),
+            lambda: binomial_pmf(coverage, detect_prob),
+        )
+        pmf[: coverage + 1] += weight * row
     return pmf
 
 

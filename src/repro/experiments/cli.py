@@ -334,7 +334,14 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if args.connect:
         from repro.distributed import run_worker
 
-        computed = run_worker(host, port)
+        try:
+            computed = run_worker(host, port)
+        except OSError as exc:
+            print(
+                f"repro sweep: cannot reach coordinator {host}:{port}: {exc}",
+                file=sys.stderr,
+            )
+            return 1
         print(f"worker finished: computed {computed} points")
         return 0
     if not grids:

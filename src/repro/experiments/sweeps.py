@@ -1,9 +1,9 @@
 """Generic parameter sweep helpers, optionally fanned over processes.
 
 Both helpers accept ``workers=N``: grid points are evaluated by
-:func:`repro.parallel.parallel_map` on a process pool, in input order, so
-parallel and serial sweeps return identical row lists whenever ``compute``
-is deterministic.  ``compute`` must then be picklable (a module-level
+:func:`repro.parallel.parallel_map` on a process pool, so parallel and
+serial sweeps return identical row lists whenever ``compute`` is
+deterministic.  ``compute`` must then be picklable (a module-level
 function or :func:`functools.partial`) — lambdas and closures only work at
 ``workers=1``.  That pool is the one local multi-worker executor.
 :func:`distributed_grid_sweep` runs the same grids on a
@@ -11,12 +11,22 @@ function or :func:`functools.partial`) — lambdas and closures only work at
 workers on other hosts (``repro sweep --distributed`` / ``--connect``) —
 and writes byte-identical rows and checkpoint files.
 
+Shard dispatch: at ``workers > 1`` the points still to compute are cut
+into at most ``4 * workers`` contiguous row-major shards, and each shard
+is one pool task that computes its rows in order.  A sweep point often
+costs less than a pool round trip, so one task per point would make a
+pooled sweep slower than a serial one.  Each finished shard is expanded
+back into per-row results (one ``sweep.point_complete`` event per
+point), and a crashed shard is retried whole.  ``workers=1`` runs
+inline, row by row.
+
 Checkpoint/resume
 -----------------
 
-Long sweeps can pass ``checkpoint="path.json"``: every completed point's
-row is written (atomically — temp file plus :func:`os.replace`) as it
-finishes, keyed by its index in the sweep order.  Re-running the same
+Long sweeps can pass ``checkpoint="path.json"``: completed rows are
+written (atomically — temp file plus :func:`os.replace`) as they finish,
+keyed by their index in the sweep order — after every row at
+``workers=1``, after every shard on the pool.  Re-running the same
 sweep with the same checkpoint path skips the already-completed points
 and computes only the missing ones, so a killed sweep resumes where it
 stopped and still returns the exact row list the uninterrupted run would
@@ -193,6 +203,30 @@ def _write_checkpoint(
         raise
 
 
+#: Pool tasks per worker (see "Shard dispatch" above).  More than one
+#: shard per worker keeps a grid whose slow points bunch together
+#: balanced across the pool.
+_SHARDS_PER_WORKER = 4
+
+
+def _compute_shard(
+    compute: Callable[..., Dict[str, Any]],
+    kwargs_items: bool,
+    points: List[Any],
+) -> List[Dict[str, Any]]:
+    """Pool trampoline: one shard's rows, in point order."""
+    if kwargs_items:
+        return [compute(**point) for point in points]
+    return [compute(point) for point in points]
+
+
+def _shards(indexes: List[int], count: int) -> List[List[int]]:
+    """``indexes`` cut into ``count`` contiguous runs whose lengths differ
+    by at most one."""
+    bounds = [len(indexes) * shard // count for shard in range(count + 1)]
+    return [indexes[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
 def _run_points(
     points: List[Any],
     compute: Callable[..., Dict[str, Any]],
@@ -207,13 +241,17 @@ def _run_points(
     through :func:`canonical_row` so all execution paths — fresh,
     resumed, batched, distributed — return byte-identical row lists.
 
+    At ``workers > 1`` the missing points go to the pool as shards (see
+    "Shard dispatch" in the module docstring), with one checkpoint write
+    per shard; at ``workers=1`` they run inline, one write per row.
+
     Observability: with instrumentation active the engine counts every
     point (``sweep.points``), marks the ones served from a checkpoint
     (``sweep.points_from_checkpoint`` plus a ``sweep.resume`` event
-    listing their indexes), emits a ``sweep.point_complete`` event and a
-    ``sweep.checkpoint_write`` count per persisted row, and — at
-    ``workers=1``, where ``compute`` runs in the parent — wraps each
-    evaluation in a ``sweep.point`` span.
+    listing their indexes), emits a ``sweep.point_complete`` event per
+    computed point and a ``sweep.checkpoint_write`` count per persisted
+    write, and — at ``workers=1``, where ``compute`` runs in the parent —
+    wraps each evaluation in a ``sweep.point`` span.
     """
     ob = obs.current()
     if ob.enabled:
@@ -236,9 +274,34 @@ def _run_points(
                 from_checkpoint=sorted(completed),
             )
     missing = [index for index in range(len(points)) if index not in completed]
-    if missing:
+    if not missing:
+        return [completed[index] for index in range(len(points))]
+    workers = _validate_workers(workers)
+
+    def finish(indexes: List[int], rows: List[Any]) -> None:
+        for index, row in zip(indexes, rows):
+            completed[index] = canonical_row(row) if canonicalise else row
+            if ob.enabled:
+                ob.incr("sweep.points_completed")
+                ob.event("sweep.point_complete", index=index)
+        if checkpoint is not None:
+            _write_checkpoint(checkpoint, fingerprint, completed)
+            if ob.enabled:
+                ob.incr("sweep.checkpoint_writes")
+
+    if workers > 1:
+        shards = _shards(
+            missing, min(len(missing), _SHARDS_PER_WORKER * workers)
+        )
+        parallel_map(
+            functools.partial(_compute_shard, compute, kwargs_items),
+            [[points[index] for index in shard] for shard in shards],
+            workers=workers,
+            on_result=lambda position, rows: finish(shards[position], rows),
+        )
+    else:
         compute_fn = compute
-        if ob.enabled and workers == 1:
+        if ob.enabled:
             # Inline execution never pickles, so a closure wrapper is
             # safe; pool workers reset to null instrumentation instead
             # (the parent-side task events cover them).
@@ -246,32 +309,22 @@ def _run_points(
                 with ob.span("sweep.point"):
                     return compute(*args, **kwargs)
 
-        on_result = None
-        if checkpoint is not None or ob.enabled:
-
-            def on_result(position: int, row: Any) -> None:
-                index = missing[position]
-                if checkpoint is not None:
-                    completed[index] = canonical_row(row)
-                    _write_checkpoint(checkpoint, fingerprint, completed)
-                    if ob.enabled:
-                        ob.incr("sweep.checkpoint_writes")
-                if ob.enabled:
-                    ob.incr("sweep.points_completed")
-                    ob.event("sweep.point_complete", index=index)
-
+        # Only a checkpoint or instrumentation needs each row as it
+        # finishes.  Otherwise rows are canonicalised after the map:
+        # doing it between a large batched grid's lookups raised peak RSS.
+        eager = checkpoint is not None or ob.enabled
         rows = parallel_map(
             compute_fn,
             [points[index] for index in missing],
-            workers=workers,
             kwargs_items=kwargs_items,
-            on_result=on_result,
+            on_result=(
+                (lambda position, row: finish([missing[position]], [row]))
+                if eager
+                else None
+            ),
         )
-        for position, index in enumerate(missing):
-            row = rows[position]
-            completed[index] = canonical_row(row) if canonicalise else row
-        if checkpoint is not None:
-            _write_checkpoint(checkpoint, fingerprint, completed)
+        if not eager:
+            finish(missing, rows)
     return [completed[index] for index in range(len(points))]
 
 

@@ -64,6 +64,15 @@ def _crash_once(value, crash_file):
     return {"value": value, "square": value * value}
 
 
+def _product_crashing_once(a, b, crash_file):
+    """A sweep point that kills its pool worker the first time (2, 20) runs."""
+    if (a, b) == (2, 20) and not os.path.exists(crash_file):
+        with open(crash_file, "w"):
+            pass
+        os._exit(1)
+    return {"a": a, "b": b, "product": a * b / 3}
+
+
 class TestCrashRecovery:
     def test_crashed_shard_retries_to_identical_result(self, small, tmp_path):
         """Acceptance: forced mid-run worker crash changes nothing."""
@@ -95,6 +104,26 @@ class TestCrashRecovery:
             {"value": 2, "square": 4},
             {"value": 3, "square": 9},
         ]
+
+    def test_crashed_sweep_shard_retries_to_identical_rows(self, tmp_path):
+        """A pool worker dying mid-shard re-runs the shard; rows and the
+        checkpoint file match an uninterrupted serial run byte for byte."""
+        grids = {"a": [1, 2, 3], "b": [10, 20, 30, 40, 50]}
+        crash_file = str(tmp_path / "crashed")
+        compute = functools.partial(
+            _product_crashing_once, crash_file=crash_file
+        )
+        crashed_path = tmp_path / "crashed.json"
+        with obs.instrument() as ob:
+            crashed = grid_sweep(
+                grids, compute, workers=2, checkpoint=str(crashed_path)
+            )
+        assert os.path.exists(crash_file)  # the crash really happened
+        assert ob.counters["parallel.pool_crashes"] == 1
+        clean_path = tmp_path / "clean.json"
+        clean = grid_sweep(grids, compute, checkpoint=str(clean_path))
+        assert json.dumps(crashed) == json.dumps(clean)
+        assert crashed_path.read_bytes() == clean_path.read_bytes()
 
     def test_timeout_exhaustion_raises(self):
         import time as time_module

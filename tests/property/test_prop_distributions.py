@@ -55,6 +55,61 @@ class TestConditionalPmfProperties:
         assert mean == pytest.approx(expected, rel=1e-9)
 
 
+def _unmemoised_mix(subareas, pd):
+    """The conditional mix rebuilt from fresh ``binomial_pmf`` rows, in the
+    same accumulation order as the engine."""
+    areas = np.clip(np.asarray(subareas, dtype=float), 0.0, None)
+    total = areas.sum()
+    top = int(np.flatnonzero(areas)[-1])
+    pmf = np.zeros(top + 1)
+    for coverage in range(1, top + 1):
+        weight = areas[coverage] / total
+        if weight != 0.0:
+            pmf[: coverage + 1] += weight * binomial_pmf(coverage, pd)
+    return pmf
+
+
+#: ``Pd`` over the closed unit interval, endpoints drawn explicitly.
+closed_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestBinomialRowMemo:
+    """``conditional_report_pmf`` reads its ``Binomial(i, Pd)`` rows from
+    the analysis cache; the memo must not move a single bit."""
+
+    @given(subareas=subareas_strategy(max_coverage=12), pd=closed_unit)
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_fresh_mix(self, subareas, pd):
+        from repro import clear_analysis_cache
+
+        clear_analysis_cache()
+        # Rows for another Pd sit in the cache first: a key that dropped
+        # Pd would serve them here.
+        conditional_report_pmf(subareas, 0.5 * (1.0 - pd))
+        reference = _unmemoised_mix(subareas, pd)
+        cold = conditional_report_pmf(subareas, pd)
+        warm = conditional_report_pmf(subareas, pd)
+        assert cold.tobytes() == reference.tobytes()
+        assert warm.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("pd", [0.0, 0.37, 1.0])
+    def test_rows_read_only_and_cleared(self, pd):
+        from repro import analysis_cache, clear_analysis_cache
+
+        clear_analysis_cache()
+        conditional_report_pmf([0.0, 1.0, 0.0, 2.0], pd)
+        cache = analysis_cache()
+        for coverage in (1, 3):
+            key = ("binomial_pmf", coverage, pd)
+            assert key in cache
+            _, row = cache.lookup(key)
+            assert not row.flags.writeable
+            assert row.tobytes() == binomial_pmf(coverage, pd).tobytes()
+        assert ("binomial_pmf", 2, pd) not in cache  # zero weight: unused
+        clear_analysis_cache()
+        assert ("binomial_pmf", 1, pd) not in cache
+
+
 class TestStagePmfProperties:
     @given(
         subareas=subareas_strategy(max_coverage=4),

@@ -1,6 +1,7 @@
 """Unit tests for the repro CLI."""
 
 import json
+import socket
 
 import pytest
 
@@ -241,3 +242,16 @@ class TestSweepAddresses:
     def test_bad_address_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("repro sweep: ")
+
+    def test_unreachable_coordinator_exits_nonzero(self, capsys):
+        # Bind then close a loopback port: nothing listens there, so the
+        # worker's connect is refused.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        assert main(["sweep", "--connect", f"127.0.0.1:{port}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"repro sweep: cannot reach coordinator 127.0.0.1:{port}: "
+        )
+        assert "Traceback" not in err

@@ -337,3 +337,118 @@ class TestAnalyticalGridSweep:
         assert counters["batch.points"] == 6
         assert counters["batch.fallbacks"] == 2
         assert counters["sweep.points"] == 6
+
+
+def _ratio(a, b):
+    return {"a": a, "b": b, "ratio": a / b}
+
+
+class TestShardDispatch:
+    """``workers > 1`` ships the missing points to the pool as at most
+    ``4 * workers`` contiguous shards; rows, checkpoints and events must
+    not tell the worker counts apart."""
+
+    #: 9 points: 8 uneven shards at workers=2, 9 singletons at workers=3.
+    GEOMETRY = {"num_sensors": [20, 30, 40], "target_speed": [4.0, 8.0, 12.0]}
+    #: 35 points: 8 shards of 4-5 at workers=2, 12 of 2-3 at workers=3.
+    PAIRS = {"a": [1, 2, 3, 4, 5], "b": [3, 5, 7, 9, 11, 13, 17]}
+
+    def test_shards_are_contiguous_and_balanced(self):
+        from repro.experiments.sweeps import _shards
+
+        indexes = [0, 2, 3, 5, 6, 7, 8, 11, 12, 13, 14]
+        for count in range(1, len(indexes) + 1):
+            shards = _shards(indexes, count)
+            assert len(shards) == count
+            assert [i for shard in shards for i in shard] == indexes
+            sizes = {len(shard) for shard in shards}
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+
+    def test_analytical_per_point_rows_identical_across_workers(self, small):
+        rows = [
+            json.dumps(
+                analytical_grid_sweep(
+                    small, self.GEOMETRY, batch=False, workers=workers
+                )
+            )
+            for workers in (1, 2, 3)
+        ]
+        assert rows[0] == rows[1] == rows[2]
+
+    def test_grid_sweep_rows_identical_across_workers(self):
+        rows = [
+            json.dumps(grid_sweep(self.PAIRS, _ratio, workers=workers))
+            for workers in (1, 2, 3)
+        ]
+        assert rows[0] == rows[1] == rows[2]
+
+    def test_simulated_per_point_rows_identical_across_workers(self, small):
+        rows = [
+            json.dumps(
+                simulated_grid_sweep(
+                    small,
+                    self.GEOMETRY,
+                    trials=40,
+                    seed=5,
+                    fused=False,
+                    workers=workers,
+                )
+            )
+            for workers in (1, 2, 3)
+        ]
+        assert rows[0] == rows[1] == rows[2]
+
+    def test_checkpoint_bytes_identical_across_workers(self, small, tmp_path):
+        written = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"w{workers}.json"
+            analytical_grid_sweep(
+                small,
+                self.GEOMETRY,
+                batch=False,
+                workers=workers,
+                checkpoint=str(path),
+            )
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_resume_from_part_of_a_shard(self, tmp_path, workers):
+        fresh_path = tmp_path / "fresh.json"
+        fresh = grid_sweep(self.PAIRS, _ratio, checkpoint=str(fresh_path))
+        state = json.loads(fresh_path.read_text())
+        # Keep the first two rows of the first shard and one row from the
+        # middle of another: the resumed run re-shards what is missing.
+        state["completed"] = {
+            key: row
+            for key, row in state["completed"].items()
+            if key in ("0", "1", "17")
+        }
+        resumed_path = tmp_path / "resumed.json"
+        resumed_path.write_text(json.dumps(state))
+        resumed = grid_sweep(
+            self.PAIRS, _ratio, workers=workers, checkpoint=str(resumed_path)
+        )
+        assert json.dumps(resumed) == json.dumps(fresh)
+        assert resumed_path.read_bytes() == fresh_path.read_bytes()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_point_complete_once_per_point(self, tmp_path, workers):
+        from repro import obs
+
+        points = len(self.PAIRS["a"]) * len(self.PAIRS["b"])
+        with obs.instrument() as ob:
+            grid_sweep(
+                self.PAIRS,
+                _ratio,
+                workers=workers,
+                checkpoint=str(tmp_path / "ck.json"),
+            )
+        completed = [
+            e["index"] for e in ob.events if e["name"] == "sweep.point_complete"
+        ]
+        assert sorted(completed) == list(range(points))
+        assert ob.counters["sweep.points_completed"] == points
+        # One pool task, and one checkpoint write, per shard.
+        assert ob.counters["parallel.tasks"] == 4 * workers
+        assert ob.counters["sweep.checkpoint_writes"] == 4 * workers
