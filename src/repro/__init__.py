@@ -28,7 +28,6 @@ from repro.core import (
     MultiNodeAnalysis,
     SApproach,
     Scenario,
-    detection_probability_single_period,
 )
 from repro.deployment import SensorField, deploy_uniform
 from repro.errors import (
@@ -37,7 +36,6 @@ from repro.errors import (
     DistributionError,
     FaultError,
     GeometryError,
-    MarkovChainError,
     ReproError,
     RoutingError,
     ScenarioError,
@@ -73,7 +71,6 @@ __all__ = [
     "FaultModel",
     "GeometryError",
     "Instrumentation",
-    "MarkovChainError",
     "MarkovSpatialAnalysis",
     "MonteCarloSimulator",
     "MultiNodeAnalysis",
@@ -94,7 +91,6 @@ __all__ = [
     "degraded_detection_probability",
     "degraded_scenario",
     "deploy_uniform",
-    "detection_probability_single_period",
     "instrument",
     "obs",
     "onr_scenario",

@@ -32,7 +32,6 @@ so it keeps its dense candidate scan.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.adaptive.evaluators import Evaluator
@@ -573,10 +572,3 @@ def dense_design_slice(
             )
         )
     return rows
-
-
-def log2_ceiling(span: int) -> int:
-    """``ceil(log2(span))`` for positive spans (0 for span <= 1)."""
-    if span <= 1:
-        return 0
-    return int(math.ceil(math.log2(span)))

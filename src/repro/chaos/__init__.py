@@ -32,7 +32,6 @@ from repro.chaos.actions import (
     ChaosAction,
     ChaosScript,
     KINDS,
-    flap,
     hang,
     kill,
     slow,
@@ -57,7 +56,6 @@ __all__ = [
     "SweepChaosAction",
     "SweepChaosHarness",
     "SweepChaosScript",
-    "flap",
     "hang",
     "kill",
     "kill_coordinator",

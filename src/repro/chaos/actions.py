@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-__all__ = ["ChaosAction", "ChaosScript", "KINDS", "flap", "hang", "kill", "slow"]
+__all__ = ["ChaosAction", "ChaosScript", "KINDS", "hang", "kill", "slow"]
 
 KINDS = ("kill", "hang", "slow", "flap")
 
@@ -127,8 +127,3 @@ def hang(at: float, duration: float, replica: Optional[str] = None) -> ChaosActi
 def slow(at: float, duration: float, replica: Optional[str] = None) -> ChaosAction:
     """A ``slow`` action occupying all workers for ``duration`` seconds."""
     return ChaosAction(at=at, kind="slow", replica=replica, duration=duration)
-
-
-def flap(at: float, gap: float, replica: Optional[str] = None) -> ChaosAction:
-    """A ``flap`` action: kill, wait up to ``gap`` s for restart, kill again."""
-    return ChaosAction(at=at, kind="flap", replica=replica, duration=gap)

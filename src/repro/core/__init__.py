@@ -4,8 +4,6 @@ Public entry points:
 
 * :class:`~repro.core.scenario.Scenario` — the parameter bundle
   ``(S, N, Rs, V, t, Pd, M, k)``.
-* :func:`~repro.core.single_period.detection_probability_single_period` —
-  the ``M = 1`` preliminary case (Section 3.1).
 * :class:`~repro.core.spatial.SApproach` — the exact-but-expensive
   S-approach (Section 3.3).
 * :class:`~repro.core.batched.BatchedMarkovSpatialAnalysis` — the
@@ -23,10 +21,6 @@ Public entry points:
 """
 
 from repro.core.scenario import Scenario
-from repro.core.single_period import (
-    detection_probability_single_period,
-    report_count_pmf_single_period,
-)
 from repro.core.spatial import SApproach
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.batched import BatchedMarkovSpatialAnalysis
@@ -44,7 +38,6 @@ from repro.core.design import (
     design_deployment,
     maximum_threshold,
     minimum_sensors,
-    rule_frontier,
 )
 
 __all__ = [
@@ -59,9 +52,6 @@ __all__ = [
     "design_deployment",
     "maximum_threshold",
     "minimum_sensors",
-    "rule_frontier",
-    "detection_probability_single_period",
-    "report_count_pmf_single_period",
     "required_body_truncation",
     "required_head_truncation",
     "required_s_approach_truncation",

@@ -23,7 +23,7 @@ that answers these queries exactly from O(log) points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "minimum_sensors",
     "maximum_threshold",
     "design_deployment",
-    "rule_frontier",
 ]
 
 #: Candidate fleet sizes evaluated per kernel call by the ascending scans.
@@ -220,43 +219,3 @@ def design_deployment(
                 ),
             )
     return None
-
-
-def rule_frontier(
-    scenario: Scenario,
-    thresholds: range,
-    truncation: int = 3,
-    evaluator=None,
-) -> List[DesignPoint]:
-    """Detection probability along a sweep of ``k`` (fixed ``N``, ``M``).
-
-    The (k, P[detect]) frontier a designer trades false-alarm immunity
-    against, read off a single survival function; false alarm
-    probabilities are reported for reference at ``pf = 0`` (pass the
-    output through
-    :func:`repro.core.false_alarms.window_false_alarm_probability` for a
-    concrete noise level).
-
-    Repeated frontier queries are cheap by design: the survival stack is
-    memoised under :func:`repro.cache.grid_key` (``k`` is in no cache
-    key), so a second call with a different threshold range adds cache
-    hits, not misses — and routing through a
-    :class:`repro.adaptive.CachedEvaluator` extends that to the
-    point level across repeated queries.
-    """
-    ks = list(thresholds)
-    for k in ks:
-        if k < 1:
-            raise AnalysisError(f"thresholds must be >= 1, got {k}")
-    if not ks:
-        return []
-    ev = _resolve_evaluator(evaluator, truncation)
-    row = np.asarray(ev.grid(scenario, thresholds=ks))[0]
-    return [
-        DesignPoint(
-            scenario=scenario.replace(threshold=k),
-            detection_probability=float(row[j]),
-            window_false_alarm_probability=0.0,
-        )
-        for j, k in enumerate(ks)
-    ]

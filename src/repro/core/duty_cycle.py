@@ -24,7 +24,6 @@ from repro.errors import AnalysisError
 
 __all__ = [
     "apply_duty_cycle",
-    "effective_false_alarm_prob",
     "lifetime_multiplier",
 ]
 
@@ -47,18 +46,6 @@ def apply_duty_cycle(scenario: Scenario, duty_cycle: float) -> Scenario:
     """
     _check_duty(duty_cycle)
     return scenario.replace(detect_prob=scenario.detect_prob * duty_cycle)
-
-
-def effective_false_alarm_prob(
-    false_alarm_prob: float, duty_cycle: float
-) -> float:
-    """Sleeping sensors cannot false alarm: ``pf_effective = d * pf``."""
-    _check_duty(duty_cycle)
-    if not 0.0 <= false_alarm_prob < 1.0:
-        raise AnalysisError(
-            f"false_alarm_prob must be in [0, 1), got {false_alarm_prob}"
-        )
-    return duty_cycle * false_alarm_prob
 
 
 def lifetime_multiplier(duty_cycle: float) -> float:

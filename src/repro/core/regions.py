@@ -5,16 +5,11 @@ All functions return arrays indexed directly by coverage count ``i``:
 exactly ``i`` periods, with ``areas[0] == 0`` as padding.  Arrays have
 length ``ms + 2`` so valid indices run ``1 .. ms + 1``.
 
-Two implementations of ``AreaH`` are provided and cross-checked in tests:
-
-* :func:`area_h_literal` — the paper's Eq. (6) verbatim, including its
-  running-sum recurrence;
-* :func:`area_h_closed_form` — the equivalent lens-difference form
-  ``AreaH(i) = A_lens((i-2)L) - A_lens((i-1)L)`` derived in DESIGN.md.
-
-The closed form is what the rest of the library uses (it is simpler and has
-better numerical behaviour); the literal form documents fidelity to the
-paper.
+``AreaH`` uses :func:`area_h_closed_form`, the lens-difference form
+``AreaH(i) = A_lens((i-2)L) - A_lens((i-1)L)`` derived in DESIGN.md; it is
+simpler and numerically better behaved than the paper's Eq. (6) running-sum
+recurrence, which the tests keep verbatim as an oracle
+(``tests/region_oracles.py::area_h_literal``).
 
 The scenario-level helpers (:func:`head_subareas` .. :func:`window_regions`)
 memoize their results in :func:`repro.cache.analysis_cache`, keyed by the
@@ -36,7 +31,6 @@ from repro.geometry.circle_math import circle_lens_area
 
 __all__ = [
     "area_h_closed_form",
-    "area_h_literal",
     "area_b",
     "area_t",
     "s_approach_regions",
@@ -85,34 +79,6 @@ def area_h_closed_form(
     # Lens-area differences can leave ~1e-6-scale negative residues when a
     # circle pair is within float epsilon of tangency; areas are
     # non-negative by definition.
-    return np.clip(areas, 0.0, None)
-
-
-def area_h_literal(sensing_range: float, step_length: float, ms: int) -> np.ndarray:
-    """``AreaH(i)`` computed exactly as written in the paper's Eq. (6).
-
-    Kept for fidelity; tests assert it matches
-    :func:`area_h_closed_form` to machine precision.
-    """
-    _check_geometry(sensing_range, step_length, ms)
-    rs = sensing_range
-    vt = step_length
-    areas = np.zeros(ms + 2)
-    for i in range(1, ms + 2):
-        if i == 1:
-            areas[i] = 2.0 * rs * vt
-        elif i < ms + 1:
-            d = (i - 1) * vt
-            lens = 2.0 * rs * rs * math.acos(d / (2.0 * rs)) - d * math.sqrt(
-                rs * rs - (d / 2.0) ** 2
-            )
-            areas[i] = math.pi * rs * rs - lens - areas[2:i].sum()
-        else:  # i == ms + 1
-            d = (i - 2) * vt
-            areas[i] = 2.0 * rs * rs * math.acos(d / (2.0 * rs)) - d * math.sqrt(
-                rs * rs - (d / 2.0) ** 2
-            )
-    # Same float hygiene as the closed form (see area_h_closed_form).
     return np.clip(areas, 0.0, None)
 
 

@@ -36,6 +36,8 @@ from repro.errors import ScenarioError, require_count
 __all__ = ["Scenario"]
 
 _COUNT_FIELDS = ("num_sensors", "window", "threshold")
+# The engine stores counts in int64 arrays.
+_COUNT_BOUND = 2**63
 _REAL_FIELDS = ("sensing_range", "target_speed", "sensing_period", "detect_prob")
 
 
@@ -72,7 +74,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for name in _COUNT_FIELDS:
-            require_count(name, getattr(self, name), ScenarioError)
+            value = getattr(self, name)
+            require_count(name, value, ScenarioError)
+            if not -_COUNT_BOUND <= value < _COUNT_BOUND:
+                raise ScenarioError(
+                    f"{name} must fit in a signed 64-bit integer, got {value}"
+                )
         for name in _REAL_FIELDS:
             _real(name, getattr(self, name))
         if self.num_sensors < 1:

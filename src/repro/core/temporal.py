@@ -27,10 +27,7 @@ from __future__ import annotations
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError
 
-__all__ = [
-    "t_approach_state_count",
-    "t_approach_state_count_detailed",
-]
+__all__ = ["t_approach_state_count"]
 
 
 def t_approach_state_count(scenario: Scenario, occupancy_truncation: int = 3) -> int:
@@ -54,26 +51,3 @@ def t_approach_state_count(scenario: Scenario, occupancy_truncation: int = 3) ->
     report_states = scenario.window * z + 1
     occupancy_states = (g + 1) ** scenario.ms
     return report_states * occupancy_states
-
-
-def t_approach_state_count_detailed(
-    scenario: Scenario, occupancy_truncation: int = 3
-) -> int:
-    """State count when per-sensor *remaining coverage* is also tracked.
-
-    Each of the up-to-``g`` live sensors from each of the last ``ms``
-    periods additionally carries a remaining-coverage value in
-    ``1 .. ms + 1``; counting multisets of size ``<= g`` over ``ms + 1``
-    values gives ``C(g + ms + 1, ms + 1)`` configurations per period slot.
-    """
-    if occupancy_truncation < 1:
-        raise AnalysisError(
-            f"occupancy_truncation must be >= 1, got {occupancy_truncation}"
-        )
-    import math
-
-    g = occupancy_truncation
-    z = (scenario.ms + 1) * g
-    report_states = scenario.window * z + 1
-    per_slot = math.comb(g + scenario.ms + 1, scenario.ms + 1)
-    return report_states * per_slot**scenario.ms

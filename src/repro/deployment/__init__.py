@@ -1,23 +1,18 @@
-"""Sensor deployment substrate: fields, sensors, placement strategies."""
+"""Sensor deployment substrate: fields, placement strategies, drift."""
 
 from repro.deployment.drift import apply_drift, drift_deployment_strategy
 from repro.deployment.field import SensorField
-from repro.deployment.sensors import Sensor, sensors_from_array
 from repro.deployment.strategies import (
     deploy_grid,
     deploy_grid_batched,
-    deploy_poisson,
     deploy_uniform,
 )
 
 __all__ = [
-    "Sensor",
     "SensorField",
     "apply_drift",
     "deploy_grid",
     "deploy_grid_batched",
-    "deploy_poisson",
     "deploy_uniform",
     "drift_deployment_strategy",
-    "sensors_from_array",
 ]

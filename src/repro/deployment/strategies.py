@@ -2,9 +2,8 @@
 
 The paper assumes a uniform random deployment ("primarily for ease of
 analysis", Section 2); :func:`deploy_uniform` is what every reproduction
-experiment uses.  :func:`deploy_poisson` and :func:`deploy_grid` are provided
-for deployment-sensitivity studies: a homogeneous Poisson process is the
-natural infinite-field idealisation, and a perturbed grid models planned
+experiment uses.  :func:`deploy_grid` is provided for
+deployment-sensitivity studies: a perturbed grid models planned
 deployments with placement error (e.g. air-dropped or moored sensors that
 drift, Section 2's undersea motivation).
 """
@@ -21,7 +20,6 @@ from repro.errors import DeploymentError
 
 __all__ = [
     "deploy_uniform",
-    "deploy_poisson",
     "deploy_grid",
     "deploy_grid_batched",
 ]
@@ -55,26 +53,6 @@ def deploy_uniform(
     return generator.uniform(
         (0.0, 0.0), (field.width, field.height), size=(num_sensors, 2)
     )
-
-
-def deploy_poisson(
-    field: SensorField, density: float, rng: _RngLike = None
-) -> np.ndarray:
-    """Homogeneous Poisson point process with the given ``density``.
-
-    Args:
-        field: the deployment field.
-        density: expected sensors per unit area (non-negative).
-        rng: ``None``, an integer seed, or a numpy Generator.
-
-    Returns:
-        ``(K, 2)`` float array where ``K ~ Poisson(density * area)``.
-    """
-    if density < 0:
-        raise DeploymentError(f"density must be non-negative, got {density}")
-    generator = _as_rng(rng)
-    count = int(generator.poisson(density * field.area))
-    return deploy_uniform(field, count, generator)
 
 
 def deploy_grid(

@@ -26,10 +26,6 @@ class DistributionError(ReproError, ValueError):
     """A probability distribution failed validation."""
 
 
-class MarkovChainError(ReproError, ValueError):
-    """A Markov chain was built from invalid ingredients."""
-
-
 class DeploymentError(ReproError, ValueError):
     """A sensor deployment request cannot be satisfied."""
 

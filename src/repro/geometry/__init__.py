@@ -1,38 +1,16 @@
 """Planar geometry substrate.
 
-Everything the analytical model and the simulator need to reason about
-circles, segments, and the stadium-shaped detectable region of a moving
-target lives here.
+The point value type, the equal-radius lens area of the region
+decomposition (Eq. 6), and Monte Carlo estimates of the coverage-count
+region areas.
 """
 
-from repro.geometry.circle_math import (
-    circle_area,
-    circle_lens_area,
-    circular_segment_area,
-    chord_half_length,
-)
-from repro.geometry.shapes import Circle, Point, Segment
-from repro.geometry.stadium import Stadium
-from repro.geometry.coverage import (
-    covered_fraction,
-    estimate_area_monte_carlo,
-    estimate_coverage_count_areas,
-    expected_covered_fraction,
-    void_probability,
-)
+from repro.geometry.circle_math import circle_lens_area
+from repro.geometry.shapes import Point
+from repro.geometry.coverage import estimate_coverage_count_areas
 
 __all__ = [
-    "Circle",
     "Point",
-    "Segment",
-    "Stadium",
-    "chord_half_length",
-    "circle_area",
     "circle_lens_area",
-    "circular_segment_area",
-    "covered_fraction",
-    "estimate_area_monte_carlo",
     "estimate_coverage_count_areas",
-    "expected_covered_fraction",
-    "void_probability",
 ]

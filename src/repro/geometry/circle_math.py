@@ -17,23 +17,7 @@ import math
 
 from repro.errors import GeometryError
 
-__all__ = [
-    "circle_area",
-    "circle_lens_area",
-    "circular_segment_area",
-    "chord_half_length",
-]
-
-
-def circle_area(radius: float) -> float:
-    """Area of a circle of the given ``radius``.
-
-    Raises:
-        GeometryError: if ``radius`` is negative.
-    """
-    if radius < 0:
-        raise GeometryError(f"radius must be non-negative, got {radius}")
-    return math.pi * radius * radius
+__all__ = ["circle_lens_area"]
 
 
 def circle_lens_area(distance: float, radius: float) -> float:
@@ -63,55 +47,3 @@ def circle_lens_area(distance: float, radius: float) -> float:
     # Near d = 2r the two terms cancel catastrophically and can leave a
     # tiny negative residue; the true area is non-negative by definition.
     return max(0.0, area)
-
-
-def circular_segment_area(radius: float, chord_distance: float) -> float:
-    """Area of the circular segment cut off by a chord.
-
-    The chord lies at perpendicular distance ``chord_distance`` from the
-    circle center; the segment is the smaller piece (the one not containing
-    the center) when ``chord_distance > 0``.
-
-    Raises:
-        GeometryError: if ``radius`` is negative, ``chord_distance`` is
-            negative, or the chord lies outside the circle.
-    """
-    if radius < 0:
-        raise GeometryError(f"radius must be non-negative, got {radius}")
-    if chord_distance < 0:
-        raise GeometryError(
-            f"chord_distance must be non-negative, got {chord_distance}"
-        )
-    if chord_distance > radius:
-        raise GeometryError(
-            f"chord at distance {chord_distance} lies outside circle of radius {radius}"
-        )
-    if radius == 0:
-        return 0.0
-    return radius * radius * math.acos(
-        chord_distance / radius
-    ) - chord_distance * math.sqrt(radius * radius - chord_distance * chord_distance)
-
-
-def chord_half_length(radius: float, chord_distance: float) -> float:
-    """Half-length of the chord at perpendicular distance ``chord_distance``.
-
-    A sensor at perpendicular distance ``y`` from a target's straight track
-    covers the track for a chord of length ``2 * chord_half_length(Rs, y)``;
-    this is what makes target coverage contiguous in time.
-
-    Raises:
-        GeometryError: if arguments are negative or the chord lies outside
-            the circle.
-    """
-    if radius < 0:
-        raise GeometryError(f"radius must be non-negative, got {radius}")
-    if chord_distance < 0:
-        raise GeometryError(
-            f"chord_distance must be non-negative, got {chord_distance}"
-        )
-    if chord_distance > radius:
-        raise GeometryError(
-            f"chord at distance {chord_distance} lies outside circle of radius {radius}"
-        )
-    return math.sqrt(radius * radius - chord_distance * chord_distance)

@@ -1,140 +1,20 @@
-"""Coverage statistics and Monte Carlo area estimation.
+"""Monte Carlo estimation of the coverage-count region areas.
 
-Two roles:
-
-* Deployment-level coverage statistics for sparse networks (what fraction of
-  the field is inside some sensor's sensing range, how likely a point is in
-  a sensing void) — the quantities that make a deployment "sparse".
-* Monte Carlo estimation of the coverage-count region areas
-  (``Region(i)`` / ``AreaH(i)`` of the paper).  Used as an independent
-  cross-check of the closed forms in :mod:`repro.core.regions`, and as a
-  fallback when the closed forms do not apply (``M <= ms``).
+``Region(i)`` / ``AreaH(i)`` of the paper, estimated by sampling.  Used as
+an independent cross-check of the closed forms in
+:mod:`repro.core.regions`, and as a fallback when the closed forms do not
+apply (``M <= ms``).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from repro.errors import GeometryError
 
-__all__ = [
-    "expected_covered_fraction",
-    "void_probability",
-    "covered_fraction",
-    "estimate_area_monte_carlo",
-    "estimate_coverage_count_areas",
-]
-
-
-def expected_covered_fraction(
-    num_sensors: int, sensing_range: float, field_area: float
-) -> float:
-    """Expected fraction of the field covered by at least one sensor.
-
-    For ``N`` sensors placed uniformly at random in a field of area ``S``
-    (ignoring boundary effects), a fixed point is missed by one sensor with
-    probability ``1 - pi*Rs^2/S``, so the covered fraction is
-    ``1 - (1 - pi*Rs^2/S)**N``.
-
-    Raises:
-        GeometryError: on non-positive field area, negative range, or
-            negative sensor count.
-    """
-    if field_area <= 0:
-        raise GeometryError(f"field_area must be positive, got {field_area}")
-    if sensing_range < 0:
-        raise GeometryError(f"sensing_range must be non-negative, got {sensing_range}")
-    if num_sensors < 0:
-        raise GeometryError(f"num_sensors must be non-negative, got {num_sensors}")
-    per_sensor = min(1.0, math.pi * sensing_range**2 / field_area)
-    return 1.0 - (1.0 - per_sensor) ** num_sensors
-
-
-def void_probability(num_sensors: int, sensing_range: float, field_area: float) -> float:
-    """Probability a uniformly random point lies in a sensing void."""
-    return 1.0 - expected_covered_fraction(num_sensors, sensing_range, field_area)
-
-
-def covered_fraction(
-    sensor_xy: np.ndarray,
-    sensing_range: float,
-    width: float,
-    height: float,
-    samples: int = 20_000,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Monte Carlo estimate of the covered fraction of a concrete deployment.
-
-    Args:
-        sensor_xy: ``(N, 2)`` array of sensor positions.
-        sensing_range: sensing radius of every sensor.
-        width: field width.
-        height: field height.
-        samples: number of uniform test points.
-        rng: optional numpy generator (fresh default generator otherwise).
-
-    Returns:
-        Fraction of test points within ``sensing_range`` of some sensor.
-    """
-    if width <= 0 or height <= 0:
-        raise GeometryError("field dimensions must be positive")
-    if samples <= 0:
-        raise GeometryError(f"samples must be positive, got {samples}")
-    sensor_xy = np.asarray(sensor_xy, dtype=float)
-    if sensor_xy.ndim != 2 or sensor_xy.shape[1] != 2:
-        raise GeometryError(f"sensor_xy must have shape (N, 2), got {sensor_xy.shape}")
-    if rng is None:
-        rng = np.random.default_rng()
-    points = rng.uniform((0.0, 0.0), (width, height), size=(samples, 2))
-    if sensor_xy.shape[0] == 0:
-        return 0.0
-    # (samples, N) pairwise squared distances, chunked to bound memory.
-    covered = np.zeros(samples, dtype=bool)
-    range_sq = sensing_range * sensing_range
-    chunk = max(1, 10_000_000 // max(1, sensor_xy.shape[0]))
-    for start in range(0, samples, chunk):
-        block = points[start : start + chunk]
-        d2 = (
-            (block[:, None, 0] - sensor_xy[None, :, 0]) ** 2
-            + (block[:, None, 1] - sensor_xy[None, :, 1]) ** 2
-        )
-        covered[start : start + chunk] = (d2 <= range_sq).any(axis=1)
-    return float(covered.mean())
-
-
-def estimate_area_monte_carlo(
-    contains: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bounding_box: tuple,
-    samples: int = 100_000,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Estimate the area of an arbitrary region by rejection sampling.
-
-    Args:
-        contains: vectorised predicate mapping arrays ``(xs, ys)`` to a
-            boolean array of membership.
-        bounding_box: ``(xmin, ymin, xmax, ymax)`` enclosing the region.
-        samples: number of uniform samples in the box.
-        rng: optional numpy generator.
-
-    Returns:
-        ``box_area * hit_fraction``.
-    """
-    xmin, ymin, xmax, ymax = bounding_box
-    if xmax <= xmin or ymax <= ymin:
-        raise GeometryError(f"degenerate bounding box {bounding_box}")
-    if samples <= 0:
-        raise GeometryError(f"samples must be positive, got {samples}")
-    if rng is None:
-        rng = np.random.default_rng()
-    xs = rng.uniform(xmin, xmax, size=samples)
-    ys = rng.uniform(ymin, ymax, size=samples)
-    inside = np.asarray(contains(xs, ys), dtype=bool)
-    box_area = (xmax - xmin) * (ymax - ymin)
-    return box_area * float(inside.mean())
+__all__ = ["estimate_coverage_count_areas"]
 
 
 def estimate_coverage_count_areas(

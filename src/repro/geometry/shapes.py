@@ -1,9 +1,9 @@
-"""Primitive planar shapes: points, segments, circles.
+"""The planar point value type.
 
-These are small immutable value types.  The hot paths of the simulator use
-raw numpy arrays instead (see :mod:`repro.simulation.sensing`); the shape
-classes exist for the scalar, readable API used by examples, the network
-substrate, and tests.
+A small immutable value type.  The hot paths of the simulator use raw
+numpy arrays instead (see :mod:`repro.simulation.sensing`); :class:`Point`
+is the readable position carried by detection reports and track
+estimates.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.errors import GeometryError
-
-__all__ = ["Point", "Segment", "Circle"]
+__all__ = ["Point"]
 
 
 @dataclass(frozen=True)
@@ -35,90 +33,3 @@ class Point:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A directed line segment from ``start`` to ``end``."""
-
-    start: Point
-    end: Point
-
-    @property
-    def length(self) -> float:
-        """Euclidean length of the segment."""
-        return self.start.distance_to(self.end)
-
-    @property
-    def midpoint(self) -> Point:
-        """The segment's midpoint."""
-        return Point((self.start.x + self.end.x) / 2.0, (self.start.y + self.end.y) / 2.0)
-
-    def point_at(self, fraction: float) -> Point:
-        """Point at the given ``fraction`` along the segment.
-
-        ``fraction=0`` is ``start``, ``fraction=1`` is ``end``.  Values
-        outside ``[0, 1]`` extrapolate along the segment's line.
-        """
-        return Point(
-            self.start.x + fraction * (self.end.x - self.start.x),
-            self.start.y + fraction * (self.end.y - self.start.y),
-        )
-
-    def distance_to_point(self, point: Point) -> float:
-        """Shortest distance from ``point`` to any point on the segment."""
-        vx = self.end.x - self.start.x
-        vy = self.end.y - self.start.y
-        wx = point.x - self.start.x
-        wy = point.y - self.start.y
-        seg_len_sq = vx * vx + vy * vy
-        if seg_len_sq == 0.0:
-            return self.start.distance_to(point)
-        t = (wx * vx + wy * vy) / seg_len_sq
-        t = min(1.0, max(0.0, t))
-        closest = Point(self.start.x + t * vx, self.start.y + t * vy)
-        return closest.distance_to(point)
-
-
-@dataclass(frozen=True)
-class Circle:
-    """A circle with a ``center`` and ``radius``."""
-
-    center: Point
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise GeometryError(f"radius must be non-negative, got {self.radius}")
-
-    @property
-    def area(self) -> float:
-        """Area of the disc."""
-        return math.pi * self.radius * self.radius
-
-    def contains(self, point: Point) -> bool:
-        """Whether ``point`` lies inside or on the circle."""
-        return self.center.distance_to(point) <= self.radius
-
-    def intersects(self, other: "Circle") -> bool:
-        """Whether this circle's disc intersects ``other``'s disc."""
-        return self.center.distance_to(other.center) <= self.radius + other.radius
-
-    def intersection_area(self, other: "Circle") -> float:
-        """Area of the intersection of the two discs (general radii)."""
-        d = self.center.distance_to(other.center)
-        r1, r2 = self.radius, other.radius
-        if d >= r1 + r2:
-            return 0.0
-        # The near-concentric guard includes distances so small that the
-        # general formula's d-divisions would underflow.
-        if d <= abs(r1 - r2) or d < 1e-12 * min(r1, r2):
-            smaller = min(r1, r2)
-            return math.pi * smaller * smaller
-        # Standard two-circle lens formula for distinct radii.
-        term1 = r1 * r1 * math.acos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
-        term2 = r2 * r2 * math.acos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
-        term3 = 0.5 * math.sqrt(
-            (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-        )
-        return term1 + term2 - term3

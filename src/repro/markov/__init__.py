@@ -1,19 +1,5 @@
-"""Finite discrete-time Markov chain substrate."""
+"""Counting chains (Figs. 5-7) and the literal Eq. 12 matrix oracle."""
 
-from repro.markov.chain import MarkovChain
-from repro.markov.counting import (
-    convolve_pmf,
-    counting_transition_matrix,
-    merge_tail,
-    propagate_counts,
-    validate_pmf,
-)
+from repro.markov.counting import counting_transition_matrix, validate_pmf
 
-__all__ = [
-    "MarkovChain",
-    "convolve_pmf",
-    "counting_transition_matrix",
-    "merge_tail",
-    "propagate_counts",
-    "validate_pmf",
-]
+__all__ = ["counting_transition_matrix", "validate_pmf"]

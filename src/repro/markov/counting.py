@@ -5,8 +5,8 @@ generated so far.  Each stage adds an independent, non-negative increment
 whose pmf is the stage's report-count distribution, so every transition
 matrix has the Toeplitz "shift" structure ``T[s, s + m] = pmf[m]``
 (Figs. 5-7 of the paper).  Propagating a distribution through such a matrix
-is exactly a discrete convolution; this module provides both views, and the
-analysis code asserts they agree.
+is exactly a discrete convolution: the engine takes the convolution view,
+and :mod:`repro.markov.oracle` builds the matrices this module provides.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import numpy as np
 
 from repro.errors import DistributionError
 
-__all__ = [
-    "validate_pmf",
-    "convolve_pmf",
-    "counting_transition_matrix",
-    "propagate_counts",
-    "merge_tail",
-]
+__all__ = ["validate_pmf", "counting_transition_matrix"]
 
 _TOLERANCE = 1e-9
 
@@ -56,15 +50,6 @@ def validate_pmf(pmf: Sequence[float], substochastic: bool = False) -> np.ndarra
             "truncated distributions)"
         )
     return np.clip(arr, 0.0, None)
-
-
-def convolve_pmf(first: Sequence[float], second: Sequence[float]) -> np.ndarray:
-    """Pmf of the sum of two independent counts (full convolution)."""
-    a = np.asarray(first, dtype=float)
-    b = np.asarray(second, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise DistributionError("cannot convolve an empty pmf")
-    return np.convolve(a, b)
 
 
 def counting_transition_matrix(
@@ -101,42 +86,3 @@ def counting_transition_matrix(
             elif absorb_overflow:
                 matrix[state, num_states - 1] += mass
     return matrix
-
-
-def propagate_counts(
-    distribution: Sequence[float], step_pmf: Sequence[float]
-) -> np.ndarray:
-    """Convolution view of one counting-chain step.
-
-    Equivalent to ``distribution @ counting_transition_matrix(...)`` with a
-    state space large enough that nothing overflows; the result grows by
-    ``len(step_pmf) - 1`` entries.
-    """
-    dist = np.asarray(distribution, dtype=float)
-    pmf = validate_pmf(step_pmf, substochastic=True)
-    if dist.ndim != 1 or dist.size == 0:
-        raise DistributionError("distribution must be a non-empty 1-D array")
-    return np.convolve(dist, pmf)
-
-
-def merge_tail(distribution: Sequence[float], threshold: int) -> np.ndarray:
-    """Merge all states ``>= threshold`` into a single final state.
-
-    The paper notes (Fig. 5 discussion) that when only ``P[X >= k]``
-    matters, states ``k .. MZ`` can be merged.  The returned vector has
-    ``threshold + 1`` entries; the last one carries the merged mass.
-
-    Raises:
-        DistributionError: if ``threshold`` is negative.
-    """
-    dist = np.asarray(distribution, dtype=float)
-    if threshold < 0:
-        raise DistributionError(f"threshold must be non-negative, got {threshold}")
-    if dist.size <= threshold:
-        out = np.zeros(threshold + 1)
-        out[: dist.size] = dist
-        return out
-    out = np.empty(threshold + 1)
-    out[:threshold] = dist[:threshold]
-    out[threshold] = dist[threshold:].sum()
-    return out

@@ -31,7 +31,6 @@ from repro.markov.counting import counting_transition_matrix
 
 __all__ = [
     "distribution_gap",
-    "matrix_detection_probability",
     "matrix_report_count_distribution",
     "ms_state_count",
     "ms_transition_matrices",
@@ -107,23 +106,6 @@ def matrix_report_count_distribution(
     for tail in tails:
         distribution = distribution @ tail
     return distribution
-
-
-def matrix_detection_probability(
-    scenario: Scenario,
-    body_truncation: int = 3,
-    head_truncation: Optional[int] = None,
-    substeps: int = 1,
-    threshold: Optional[int] = None,
-    normalize: bool = True,
-) -> float:
-    """``P_M[X >= k]`` (Eq. 13) from :func:`matrix_report_count_distribution`."""
-    k = scenario.threshold if threshold is None else threshold
-    distribution = matrix_report_count_distribution(
-        scenario, body_truncation, head_truncation, substeps
-    )
-    tail = float(distribution[k:].sum())
-    return tail / float(distribution.sum()) if normalize else tail
 
 
 def distribution_gap(

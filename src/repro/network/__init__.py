@@ -10,15 +10,12 @@ from repro.network.latency import (
     hop_counts,
     hop_counts_to_nearest,
 )
-from repro.network.routing import bfs_path, greedy_geographic_path
 
 __all__ = [
     "BASE_STATION",
     "add_base_stations",
-    "bfs_path",
     "build_connectivity_graph",
     "delivery_report",
-    "greedy_geographic_path",
     "hop_counts",
     "hop_counts_to_nearest",
 ]

@@ -6,7 +6,7 @@ and the manifest blocks in benchmark records.  Three pieces:
 * :mod:`repro.obs.instrumentation` — hierarchical spans, monotone
   counters, gauges, structured events, and the process-wide *active*
   instrumentation (a zero-overhead null object by default);
-* :mod:`repro.obs.sinks` — the JSONL event sink and its reader;
+* :mod:`repro.obs.sinks` — the JSONL event sink;
 * :mod:`repro.obs.manifest` — manifest persistence and the human profile
   table.
 
@@ -37,7 +37,7 @@ from repro.obs.instrumentation import (
     scenario_fingerprint,
 )
 from repro.obs.manifest import render_profile, write_manifest
-from repro.obs.sinks import JsonlSink, read_jsonl
+from repro.obs.sinks import JsonlSink
 
 __all__ = [
     "NULL_INSTRUMENTATION",
@@ -49,7 +49,6 @@ __all__ = [
     "activate",
     "current",
     "instrument",
-    "read_jsonl",
     "render_profile",
     "scenario_fingerprint",
     "write_manifest",

@@ -3,19 +3,18 @@
 The only shipping sink is :class:`JsonlSink` — one JSON object per line,
 flushed after every write so a crash (the very thing the resilient
 executor instruments) leaves a readable prefix rather than a truncated
-buffer.  :func:`read_jsonl` is its inverse, used by tests, the CI smoke
-artifact checks, and post-hoc analysis.
+buffer.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
 import numpy as np
 
-__all__ = ["JsonlSink", "read_jsonl"]
+__all__ = ["JsonlSink"]
 
 
 def _json_default(value: Any) -> Any:
@@ -61,14 +60,3 @@ class JsonlSink:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-
-def read_jsonl(path: Union[str, "os.PathLike[str]"]) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace back into a list of records (blank lines skipped)."""
-    records = []
-    with open(str(path), "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -6,17 +6,12 @@ from repro.simulation.runner import (
     SimulationResult,
 )
 from repro.simulation.sensing import sample_detections, segment_coverage
-from repro.simulation.stats import (
-    standard_error,
-    two_proportion_z_test,
-    wilson_interval,
-)
+from repro.simulation.stats import standard_error, wilson_interval
 from repro.simulation.streams import ReportStreamEpisode, simulate_report_stream
 from repro.simulation.targets import (
     RandomWalkTarget,
     StraightLineTarget,
     VaryingSpeedTarget,
-    WaypointTarget,
 )
 
 __all__ = [
@@ -28,11 +23,9 @@ __all__ = [
     "SimulationResult",
     "StraightLineTarget",
     "VaryingSpeedTarget",
-    "WaypointTarget",
     "sample_detections",
     "segment_coverage",
     "simulate_report_stream",
     "standard_error",
-    "two_proportion_z_test",
     "wilson_interval",
 ]

@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from repro.errors import SimulationError, require_count
 
-__all__ = ["wilson_interval", "standard_error", "two_proportion_z_test"]
+__all__ = ["wilson_interval", "standard_error"]
 
 
 def _validate_counts(successes: int, trials: int) -> None:
@@ -61,39 +61,3 @@ def standard_error(successes: int, trials: int) -> float:
     _validate_counts(successes, trials)
     p_hat = successes / trials
     return math.sqrt(p_hat * (1.0 - p_hat) / trials)
-
-
-def two_proportion_z_test(
-    successes_a: int, trials_a: int, successes_b: int, trials_b: int
-) -> Tuple[float, float]:
-    """Pooled two-proportion z-test: are two detection rates different?
-
-    The test the ablation experiments need when comparing two simulation
-    arms (e.g. torus vs clip boundary modes): under the null hypothesis
-    that both arms share one detection probability, the standardised
-    difference is approximately normal.
-
-    Args:
-        successes_a: detections in arm A.
-        trials_a: trials in arm A.
-        successes_b: detections in arm B.
-        trials_b: trials in arm B.
-
-    Returns:
-        ``(z, p_value)`` — the z statistic (positive when arm A's rate is
-        higher) and the two-sided p-value.  ``(0.0, 1.0)`` when the pooled
-        rate is degenerate (all successes or all failures), where the
-        arms are trivially indistinguishable.
-    """
-    _validate_counts(successes_a, trials_a)
-    _validate_counts(successes_b, trials_b)
-    p_a = successes_a / trials_a
-    p_b = successes_b / trials_b
-    pooled = (successes_a + successes_b) / (trials_a + trials_b)
-    variance = pooled * (1.0 - pooled) * (1.0 / trials_a + 1.0 / trials_b)
-    if variance == 0.0:
-        return (0.0, 1.0)
-    z = (p_a - p_b) / math.sqrt(variance)
-    # ndtr(-z) is the standard normal survival function (norm.sf(z)).
-    p_value = 2.0 * float(ndtr(-abs(z)))
-    return (z, min(1.0, p_value))

@@ -11,8 +11,6 @@ abstraction, Fig. 1).
 * :class:`RandomWalkTarget` — Section 4's "Random Walk": every period the
   heading changes by a uniform angle within ``[-max_turn, +max_turn]``
   (the paper uses pi/4).
-* :class:`WaypointTarget` — a fixed user-supplied path, for examples and
-  deterministic tests.
 * :class:`VaryingSpeedTarget` — per-period speed drawn uniformly from a
   range (optionally combined with random-walk turning): the "target
   travels in varying speeds" case the paper's Section 6 defers to future
@@ -31,7 +29,6 @@ from repro.errors import SimulationError
 __all__ = [
     "StraightLineTarget",
     "RandomWalkTarget",
-    "WaypointTarget",
     "VaryingSpeedTarget",
 ]
 
@@ -147,48 +144,6 @@ class RandomWalkTarget:
         waypoints[:, 0] = starts
         waypoints[:, 1:] = starts[:, None, :] + np.cumsum(deltas, axis=1)
         return waypoints
-
-
-@dataclass(frozen=True)
-class WaypointTarget:
-    """A fixed, user-supplied path shared by every trial.
-
-    Attributes:
-        waypoints: ``(M + 1, 2)`` array of positions at period boundaries.
-    """
-
-    waypoints: np.ndarray
-
-    def __post_init__(self) -> None:
-        points = np.asarray(self.waypoints, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 2:
-            raise SimulationError(
-                f"waypoints must have shape (M + 1, 2) with M >= 1, got {points.shape}"
-            )
-        object.__setattr__(self, "waypoints", points)
-
-    def sample_waypoints(
-        self,
-        starts: np.ndarray,
-        num_periods: int,
-        period_length: float,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Tile the fixed path across the batch (``starts`` are ignored).
-
-        Raises:
-            SimulationError: if the fixed path does not have exactly
-                ``num_periods + 1`` waypoints.
-        """
-        starts = _check_batch(starts, num_periods, period_length)
-        if self.waypoints.shape[0] != num_periods + 1:
-            raise SimulationError(
-                f"fixed path has {self.waypoints.shape[0]} waypoints but the "
-                f"simulation needs {num_periods + 1}"
-            )
-        return np.broadcast_to(
-            self.waypoints[None, :, :], (starts.shape[0],) + self.waypoints.shape
-        ).copy()
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from repro.streaming.recorder import (
     RecordedStream,
     StreamRecorder,
     StreamReplayer,
-    record_episode,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "decode_session",
     "encode_frame",
     "event_digest",
-    "record_episode",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ProtocolError, StreamError
 from repro.streaming import protocol
@@ -203,14 +203,3 @@ def subscribe(
             reader.close()
 
     return sock, frames()
-
-
-def collect_session(
-    host: str, port: int, timeout: float = 30.0
-) -> List[Dict[str, Any]]:
-    """Convenience: subscribe and collect one whole session's frames."""
-    sock, frames = subscribe(host, port, timeout=timeout, until_end=True)
-    try:
-        return list(frames)
-    finally:
-        sock.close()

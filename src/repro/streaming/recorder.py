@@ -42,7 +42,6 @@ __all__ = [
     "RecordedStream",
     "StreamRecorder",
     "StreamReplayer",
-    "record_episode",
 ]
 
 #: Manifest file name: ``<recording>.manifest.json`` beside the recording.
@@ -308,42 +307,3 @@ class StreamReplayer:
             for period, reports in recorded.stream():
                 recorder.write_period(period, reports)
         return recorder.close()
-
-
-def record_episode(
-    episode,
-    path: _PathLike,
-    seed: Optional[int] = None,
-    meta: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Record a simulated episode; return its manifest.
-
-    Works for any episode object exposing ``scenario`` and a
-    ``stream()`` of ``(period, reports)`` pairs —
-    :class:`~repro.simulation.streams.ReportStreamEpisode`,
-    :class:`~repro.simulation.streams.MultiTargetEpisode`, or a faulted
-    stream materialised through
-    :func:`repro.detection.group.deliver_reports`.
-
-    Args:
-        episode: the episode to record.
-        path: recording file.
-        seed: episode seed for the hello frame.
-        meta: extra metadata; the episode's own report counters are
-            added automatically when present.
-    """
-    merged: Dict[str, Any] = {}
-    for attr in ("true_report_count", "false_report_count"):
-        value = getattr(episode, attr, None)
-        if value is not None:
-            merged[attr] = int(value)
-    if hasattr(episode, "num_targets"):
-        merged["num_targets"] = int(episode.num_targets)
-    if meta:
-        merged.update(meta)
-    with StreamRecorder(
-        path, episode.scenario, seed=seed, meta=merged or None
-    ) as recorder:
-        for period, reports in episode.stream():
-            recorder.write_period(period, list(reports))
-    return recorder.close()

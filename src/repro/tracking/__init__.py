@@ -14,7 +14,6 @@ from repro.tracking.estimate import TrackEstimate, estimate_track
 from repro.tracking.metrics import (
     cross_track_rmse,
     heading_error,
-    position_rmse,
     speed_error,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "cross_track_rmse",
     "estimate_track",
     "heading_error",
-    "position_rmse",
     "speed_error",
 ]

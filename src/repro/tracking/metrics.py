@@ -1,9 +1,7 @@
 """Track-quality metrics: estimated vs. true trajectory.
 
 The true trajectory is the waypoint array the simulator used
-(``(M + 1, 2)``, positions at period boundaries); the reference position
-for period ``p`` is the midpoint of its segment, matching the estimator's
-convention.
+(``(M + 1, 2)``, positions at period boundaries).
 """
 
 from __future__ import annotations
@@ -15,30 +13,7 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.tracking.estimate import TrackEstimate
 
-__all__ = ["position_rmse", "cross_track_rmse", "heading_error", "speed_error"]
-
-
-def _true_midpoints(waypoints: np.ndarray) -> np.ndarray:
-    waypoints = np.asarray(waypoints, dtype=float)
-    if waypoints.ndim != 2 or waypoints.shape[1] != 2 or waypoints.shape[0] < 2:
-        raise AnalysisError(
-            f"waypoints must have shape (M + 1, 2), got {waypoints.shape}"
-        )
-    return 0.5 * (waypoints[:-1] + waypoints[1:])
-
-
-def position_rmse(estimate: TrackEstimate, waypoints: np.ndarray) -> float:
-    """RMS distance between estimated and true positions at observed periods."""
-    midpoints = _true_midpoints(waypoints)
-    errors = []
-    for period, predicted in zip(estimate.periods, estimate.predicted_positions()):
-        index = int(period) - 1
-        if not 0 <= index < midpoints.shape[0]:
-            raise AnalysisError(
-                f"period {int(period)} outside the truth's {midpoints.shape[0]} periods"
-            )
-        errors.append(np.sum((predicted - midpoints[index]) ** 2))
-    return math.sqrt(float(np.mean(errors)))
+__all__ = ["cross_track_rmse", "heading_error", "speed_error"]
 
 
 def _point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
@@ -60,8 +35,8 @@ def _point_to_polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.
 def cross_track_rmse(estimate: TrackEstimate, waypoints: np.ndarray) -> float:
     """RMS distance from estimated positions to the true track polyline.
 
-    Unlike :func:`position_rmse` this ignores along-track (timing) error:
-    it measures only how far the estimated path strays from the true path.
+    This ignores along-track (timing) error: it measures only how far the
+    estimated path strays from the true path.
     """
     waypoints = np.asarray(waypoints, dtype=float)
     if waypoints.ndim != 2 or waypoints.shape[1] != 2 or waypoints.shape[0] < 2:

@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/data/streams/regenerate.py
+    PYTHONPATH=src:. python tests/data/streams/regenerate.py
 
 Rewrites every recording and manifest in this directory from fixed
 seeds.  The output must be byte-identical run-to-run — the corpus tests
@@ -35,7 +35,8 @@ from repro.simulation.streams import (
     simulate_multi_target_stream,
     simulate_report_stream,
 )
-from repro.streaming.recorder import StreamRecorder, record_episode
+from repro.streaming.recorder import StreamRecorder
+from tests.support import record_episode
 
 HERE = pathlib.Path(__file__).resolve().parent
 

@@ -7,8 +7,8 @@ the strongest kind of regression test this library can have.
 import numpy as np
 import pytest
 
-from repro.markov.chain import MarkovChain
-from repro.markov.counting import counting_transition_matrix, merge_tail
+from repro.markov.counting import counting_transition_matrix
+from tests.markov_oracles import MarkovChain, merge_tail
 
 
 class TestAbsorptionVsDirectEnumeration:

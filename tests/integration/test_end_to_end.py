@@ -32,7 +32,6 @@ class TestPublicApi:
         from repro.experiments.presets import ONR_COMMUNICATION_RANGE
         from repro.network.graph import build_connectivity_graph
         from repro.network.latency import delivery_report
-        from repro.network.routing import greedy_geographic_path
 
         scenario = repro.onr_scenario(num_sensors=240)
         positions = repro.deploy_uniform(scenario.field, 240, rng=2)
@@ -43,15 +42,6 @@ class TestPublicApi:
         )
         report = delivery_report(graph, scenario.sensing_period, 8.0)
         assert report.connected_fraction > 0.9
-        # Route a packet from some connected node to the base.
-        import networkx as nx
-
-        from repro.network.graph import BASE_STATION
-
-        connected = nx.node_connected_component(graph, BASE_STATION) - {BASE_STATION}
-        source = sorted(connected)[0]
-        path = greedy_geographic_path(graph, source, BASE_STATION)
-        assert path[-1] == BASE_STATION
 
     def test_errors_exported(self):
         assert issubclass(repro.ScenarioError, repro.ReproError)

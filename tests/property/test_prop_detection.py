@@ -90,7 +90,7 @@ class TestGroupDetectorProperties:
     @given(stream=report_stream_strategy())
     @settings(max_examples=100)
     def test_window_one_equals_instantaneous(self, stream):
-        from repro.detection.instantaneous import InstantaneousDetector
+        from tests.detection_oracles import InstantaneousDetector
 
         group = GroupDetector(window=1, threshold=2)
         instant = InstantaneousDetector(threshold=2)

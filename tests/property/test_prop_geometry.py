@@ -5,17 +5,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.circle_math import (
-    chord_half_length,
-    circle_lens_area,
-    circular_segment_area,
-)
-from repro.geometry.shapes import Circle, Point, Segment
-from repro.geometry.stadium import Stadium
+from repro.geometry.circle_math import circle_lens_area
+from repro.geometry.shapes import Point
+from tests.region_oracles import Circle, circular_segment_area
 
-finite = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
 positive = st.floats(
     min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False
 )
@@ -41,56 +34,6 @@ class TestLensAreaProperties:
         lens = circle_lens_area(d, radius)
         segment = circular_segment_area(radius, d / 2.0)
         assert lens == __import__("pytest").approx(2 * segment, rel=1e-9, abs=1e-12)
-
-    @given(radius=positive, fraction=st.floats(0.0, 1.0))
-    def test_chord_pythagoras(self, radius, fraction):
-        y = fraction * radius
-        half = chord_half_length(radius, y)
-        assert half * half + y * y == __import__("pytest").approx(
-            radius * radius, rel=1e-9
-        )
-
-
-class TestSegmentDistanceProperties:
-    @given(ax=finite, ay=finite, bx=finite, by=finite, px=finite, py=finite)
-    @settings(max_examples=200)
-    def test_distance_bounds(self, ax, ay, bx, by, px, py):
-        seg = Segment(Point(ax, ay), Point(bx, by))
-        point = Point(px, py)
-        distance = seg.distance_to_point(point)
-        to_start = point.distance_to(seg.start)
-        to_end = point.distance_to(seg.end)
-        assert distance <= min(to_start, to_end) + 1e-6
-        assert distance >= 0.0
-
-    @given(ax=finite, ay=finite, bx=finite, by=finite, t=st.floats(0.0, 1.0))
-    @settings(max_examples=200)
-    def test_points_on_segment_have_zero_distance(self, ax, ay, bx, by, t):
-        seg = Segment(Point(ax, ay), Point(bx, by))
-        on_segment = seg.point_at(t)
-        assert seg.distance_to_point(on_segment) <= 1e-6 * max(
-            1.0, seg.length
-        )
-
-
-class TestStadiumProperties:
-    @given(
-        length=st.floats(0.0, 1e4),
-        radius=st.floats(0.1, 1e3),
-        t=st.floats(-0.2, 1.2),
-        offset=st.floats(-2.0, 2.0),
-    )
-    @settings(max_examples=200)
-    def test_contains_consistent_with_distance(self, length, radius, t, offset):
-        stadium = Stadium(Segment(Point(0, 0), Point(length, 0)), radius)
-        probe = Point(t * max(length, 1.0), offset * radius)
-        inside = stadium.contains(probe)
-        assert inside == (stadium.distance_to(probe) == 0.0)
-
-    @given(length=st.floats(0.0, 1e4), radius=st.floats(0.1, 1e3))
-    def test_area_at_least_disc(self, length, radius):
-        stadium = Stadium(Segment(Point(0, 0), Point(length, 0)), radius)
-        assert stadium.area >= math.pi * radius * radius - 1e-9
 
 
 class TestCircleIntersectionProperties:

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.markov.chain import MarkovChain
-from repro.markov.counting import (
-    counting_transition_matrix,
-    merge_tail,
-    propagate_counts,
-)
+from repro.markov.counting import counting_transition_matrix
+from tests.markov_oracles import MarkovChain, merge_tail, propagate_counts
 
 
 def pmf_strategy(max_size=6, substochastic=False):

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import networkx as nx
-
 from repro.network.graph import BASE_STATION, build_connectivity_graph
 from repro.network.latency import delivery_report, hop_counts
-from repro.network.routing import bfs_path, greedy_geographic_path
 
 
 def deployment_strategy():
@@ -40,34 +37,6 @@ class TestGraphProperties:
             a, b = rng.choice(nodes, 2, replace=False)
             distance = np.hypot(*(positions[a] - positions[b]))
             assert graph.has_edge(int(a), int(b)) == (distance <= comm_range)
-
-    @given(data=deployment_strategy())
-    @settings(max_examples=60, deadline=None)
-    def test_greedy_route_valid_whenever_connected(self, data):
-        positions, comm_range, _ = data
-        graph = build_connectivity_graph(positions, comm_range)
-        component = max(nx.connected_components(graph), key=len)
-        nodes = sorted(component)
-        if len(nodes) < 2:
-            return
-        src, dst = nodes[0], nodes[-1]
-        path = greedy_geographic_path(graph, src, dst)
-        assert path[0] == src and path[-1] == dst
-        for a, b in zip(path, path[1:]):
-            assert graph.has_edge(a, b)
-
-    @given(data=deployment_strategy())
-    @settings(max_examples=60, deadline=None)
-    def test_bfs_is_lower_bound_on_greedy(self, data):
-        positions, comm_range, _ = data
-        graph = build_connectivity_graph(positions, comm_range)
-        component = sorted(max(nx.connected_components(graph), key=len))
-        if len(component) < 2:
-            return
-        src, dst = component[0], component[-1]
-        assert len(bfs_path(graph, src, dst)) <= len(
-            greedy_geographic_path(graph, src, dst)
-        )
 
 
 class TestDeliveryProperties:

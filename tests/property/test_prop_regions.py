@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.regions import (
     area_b,
     area_h_closed_form,
-    area_h_literal,
     area_t,
     head_subareas,
     s_approach_regions,
@@ -18,7 +17,7 @@ from repro.core.regions import (
 )
 from repro.core.scenario import Scenario
 from repro.deployment.field import SensorField
-from tests.region_oracles import stripe_head_areas, stripe_regions
+from tests.region_oracles import area_h_literal, stripe_head_areas, stripe_regions
 
 
 def geometry_strategy():

@@ -12,15 +12,26 @@ meet, at ``2h = mL``.  With ``y = Rs·sin θ`` the integrand is smooth
 between those kinks (no square-root endpoint), and
 ``scipy.integrate.quad_vec`` resolves every count at once to machine
 precision.
+
+The module also keeps the closed forms that check the library's
+equal-radius lens (:func:`repro.geometry.circle_math.circle_lens_area`)
+and its ``AreaH`` (:func:`repro.core.regions.area_h_closed_form`) from
+other directions: the paper's Eq. (6) running-sum recurrence verbatim,
+the two-circular-segment split of a lens, and the general two-disc
+intersection.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad_vec
+
+from repro.errors import GeometryError
+from repro.geometry.shapes import Point
 
 
 def _stripe_lengths(
@@ -93,3 +104,98 @@ def stripe_head_areas(sensing_range: float, step: float) -> np.ndarray:
     # A point of the first region has x <= L + Rs, so no period past
     # index ms + 1 reaches it: ms + 2 periods stand in for the rest.
     return _integrate(sensing_range, step, ms + 2, head=True)[: ms + 2]
+
+
+def area_h_literal(sensing_range: float, step_length: float, ms: int) -> np.ndarray:
+    """``AreaH(i)`` computed exactly as written in the paper's Eq. (6)."""
+    rs = sensing_range
+    vt = step_length
+    areas = np.zeros(ms + 2)
+    for i in range(1, ms + 2):
+        if i == 1:
+            areas[i] = 2.0 * rs * vt
+        elif i < ms + 1:
+            d = (i - 1) * vt
+            lens = 2.0 * rs * rs * math.acos(d / (2.0 * rs)) - d * math.sqrt(
+                rs * rs - (d / 2.0) ** 2
+            )
+            areas[i] = math.pi * rs * rs - lens - areas[2:i].sum()
+        else:  # i == ms + 1
+            d = (i - 2) * vt
+            areas[i] = 2.0 * rs * rs * math.acos(d / (2.0 * rs)) - d * math.sqrt(
+                rs * rs - (d / 2.0) ** 2
+            )
+    # Same float hygiene as the closed form (see area_h_closed_form).
+    return np.clip(areas, 0.0, None)
+
+
+def circular_segment_area(radius: float, chord_distance: float) -> float:
+    """Area of the circular segment cut off by a chord.
+
+    The chord lies at perpendicular distance ``chord_distance`` from the
+    circle center; the segment is the smaller piece (the one not containing
+    the center) when ``chord_distance > 0``.
+
+    Raises:
+        GeometryError: if ``radius`` is negative, ``chord_distance`` is
+            negative, or the chord lies outside the circle.
+    """
+    if radius < 0:
+        raise GeometryError(f"radius must be non-negative, got {radius}")
+    if chord_distance < 0:
+        raise GeometryError(
+            f"chord_distance must be non-negative, got {chord_distance}"
+        )
+    if chord_distance > radius:
+        raise GeometryError(
+            f"chord at distance {chord_distance} lies outside circle of radius {radius}"
+        )
+    if radius == 0:
+        return 0.0
+    return radius * radius * math.acos(
+        chord_distance / radius
+    ) - chord_distance * math.sqrt(radius * radius - chord_distance * chord_distance)
+
+
+@dataclass(frozen=True)
+class Circle:
+    """A circle with a ``center`` and ``radius``."""
+
+    center: Point
+    radius: float
+
+    def __post_init__(self) -> None:
+        if self.radius < 0:
+            raise GeometryError(f"radius must be non-negative, got {self.radius}")
+
+    @property
+    def area(self) -> float:
+        """Area of the disc."""
+        return math.pi * self.radius * self.radius
+
+    def contains(self, point: Point) -> bool:
+        """Whether ``point`` lies inside or on the circle."""
+        return self.center.distance_to(point) <= self.radius
+
+    def intersects(self, other: "Circle") -> bool:
+        """Whether this circle's disc intersects ``other``'s disc."""
+        return self.center.distance_to(other.center) <= self.radius + other.radius
+
+    def intersection_area(self, other: "Circle") -> float:
+        """Area of the intersection of the two discs (general radii)."""
+        d = self.center.distance_to(other.center)
+        r1, r2 = self.radius, other.radius
+        if d >= r1 + r2:
+            return 0.0
+        # The near-concentric guard includes distances so small that the
+        # general formula's d-divisions would underflow.
+        if d <= abs(r1 - r2) or d < 1e-12 * min(r1, r2):
+            smaller = min(r1, r2)
+            return math.pi * smaller * smaller
+        # Standard two-circle lens formula for distinct radii.
+        term1 = r1 * r1 * math.acos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
+        term2 = r2 * r2 * math.acos((d * d + r2 * r2 - r1 * r1) / (2 * d * r2))
+        term3 = 0.5 * math.sqrt(
+            (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
+        )
+        return term1 + term2 - term3

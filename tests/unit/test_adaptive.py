@@ -385,12 +385,12 @@ class TestFrontierCacheRouting:
         # Regression: the survival stack is memoised under grid_key with
         # k excluded, so a frontier re-query over a *different* threshold
         # range must be answered from the cached stack.
-        from repro.core.design import rule_frontier
+        evaluator = InProcessEvaluator(truncation=3)
 
         clear_analysis_cache()
-        rule_frontier(small, range(1, 9))
+        evaluator.grid(small, thresholds=list(range(1, 9)))
         before = analysis_cache().stats()
-        rule_frontier(small, range(1, 13))
+        evaluator.grid(small, thresholds=list(range(1, 13)))
         after = analysis_cache().stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] > before["hits"]

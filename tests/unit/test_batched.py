@@ -15,7 +15,7 @@ from repro.core.batched import (
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.report_dist import binomial_pmf, convolution_power
 from repro.errors import AnalysisError
-from repro.markov.oracle import matrix_detection_probability
+from tests.markov_oracles import matrix_detection_probability
 
 
 class TestHelpers:

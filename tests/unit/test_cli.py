@@ -11,7 +11,7 @@ from repro.experiments.cli import (
     build_parser,
     main,
 )
-from repro.obs import read_jsonl
+from tests.support import read_jsonl
 
 
 class TestParseGridAxes:

@@ -1,16 +1,11 @@
-"""Unit tests for repro.markov.counting."""
+"""Unit tests for repro.markov.counting and its convolution-view oracles."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DistributionError
-from repro.markov.counting import (
-    convolve_pmf,
-    counting_transition_matrix,
-    merge_tail,
-    propagate_counts,
-    validate_pmf,
-)
+from repro.markov.counting import counting_transition_matrix, validate_pmf
+from tests.markov_oracles import merge_tail, propagate_counts
 
 
 class TestValidatePmf:
@@ -34,20 +29,6 @@ class TestValidatePmf:
     def test_empty_rejected(self):
         with pytest.raises(DistributionError):
             validate_pmf([])
-
-
-class TestConvolvePmf:
-    def test_two_coins(self):
-        out = convolve_pmf([0.5, 0.5], [0.5, 0.5])
-        np.testing.assert_allclose(out, [0.25, 0.5, 0.25])
-
-    def test_identity_element(self):
-        out = convolve_pmf([1.0], [0.1, 0.9])
-        np.testing.assert_allclose(out, [0.1, 0.9])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DistributionError):
-            convolve_pmf([], [1.0])
 
 
 class TestCountingTransitionMatrix:

@@ -2,92 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.coverage import (
-    covered_fraction,
-    estimate_area_monte_carlo,
-    estimate_coverage_count_areas,
-    expected_covered_fraction,
-    void_probability,
-)
-
-
-class TestExpectedCoveredFraction:
-    def test_no_sensors_means_no_coverage(self):
-        assert expected_covered_fraction(0, 100.0, 1e6) == 0.0
-
-    def test_zero_range_means_no_coverage(self):
-        assert expected_covered_fraction(50, 0.0, 1e6) == 0.0
-
-    def test_monotone_in_sensor_count(self):
-        values = [expected_covered_fraction(n, 100.0, 1e6) for n in (1, 5, 20, 100)]
-        assert values == sorted(values)
-
-    def test_onr_scenario_is_sparse(self):
-        # 240 sensors with 1 km range in a 32x32 km field: well under full coverage.
-        fraction = expected_covered_fraction(240, 1000.0, 32000.0**2)
-        assert 0.3 < fraction < 0.7
-
-    def test_complement_is_void_probability(self):
-        covered = expected_covered_fraction(30, 50.0, 1e5)
-        assert void_probability(30, 50.0, 1e5) == pytest.approx(1.0 - covered)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(GeometryError):
-            expected_covered_fraction(10, 1.0, 0.0)
-        with pytest.raises(GeometryError):
-            expected_covered_fraction(10, -1.0, 1.0)
-        with pytest.raises(GeometryError):
-            expected_covered_fraction(-1, 1.0, 1.0)
-
-
-class TestCoveredFraction:
-    def test_single_central_sensor(self, rng):
-        fraction = covered_fraction(
-            np.array([[50.0, 50.0]]), 10.0, 100.0, 100.0, samples=40_000, rng=rng
-        )
-        assert fraction == pytest.approx(math.pi * 100.0 / 10_000.0, abs=0.01)
-
-    def test_empty_deployment(self, rng):
-        assert covered_fraction(np.empty((0, 2)), 10.0, 100.0, 100.0, rng=rng) == 0.0
-
-    def test_full_coverage(self, rng):
-        fraction = covered_fraction(
-            np.array([[50.0, 50.0]]), 200.0, 100.0, 100.0, samples=1000, rng=rng
-        )
-        assert fraction == 1.0
-
-    def test_bad_shape_rejected(self, rng):
-        with pytest.raises(GeometryError):
-            covered_fraction(np.zeros((3, 3)), 1.0, 10.0, 10.0, rng=rng)
-
-    def test_bad_field_rejected(self, rng):
-        with pytest.raises(GeometryError):
-            covered_fraction(np.zeros((1, 2)), 1.0, -10.0, 10.0, rng=rng)
-
-
-class TestEstimateAreaMonteCarlo:
-    def test_unit_disc(self, rng):
-        area = estimate_area_monte_carlo(
-            lambda xs, ys: xs * xs + ys * ys <= 1.0,
-            (-1.0, -1.0, 1.0, 1.0),
-            samples=200_000,
-            rng=rng,
-        )
-        assert area == pytest.approx(math.pi, rel=0.02)
-
-    def test_degenerate_box_rejected(self, rng):
-        with pytest.raises(GeometryError):
-            estimate_area_monte_carlo(lambda xs, ys: xs > 0, (0, 0, 0, 1), rng=rng)
-
-    def test_zero_samples_rejected(self, rng):
-        with pytest.raises(GeometryError):
-            estimate_area_monte_carlo(
-                lambda xs, ys: xs > 0, (0, 0, 1, 1), samples=0, rng=rng
-            )
+from repro.geometry.coverage import estimate_coverage_count_areas
 
 
 class TestCoverageCountAreas:

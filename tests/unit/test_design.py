@@ -8,7 +8,6 @@ from repro.core.design import (
     detection_probability,
     maximum_threshold,
     minimum_sensors,
-    rule_frontier,
 )
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.errors import AnalysisError
@@ -116,31 +115,6 @@ class TestDesignDeployment:
     def test_invalid_ceiling_rejected(self):
         with pytest.raises(AnalysisError):
             design_deployment(onr_scenario(), 0.9, 1e-4, 1e-6, max_sensors=0)
-
-
-class TestRuleFrontier:
-    def test_monotone_decreasing_in_k(self, onr):
-        points = rule_frontier(onr, range(1, 9))
-        values = [p.detection_probability for p in points]
-        assert values == sorted(values, reverse=True)
-
-    def test_scenarios_carry_thresholds(self, onr):
-        points = rule_frontier(onr, range(2, 5))
-        assert [p.scenario.threshold for p in points] == [2, 3, 4]
-
-    def test_invalid_threshold_rejected(self, onr):
-        with pytest.raises(AnalysisError):
-            rule_frontier(onr, range(0, 3))
-
-    def test_empty_range_returns_empty_list(self, small):
-        assert rule_frontier(small, range(5, 5)) == []
-
-    def test_single_point_range(self, small):
-        [point] = rule_frontier(small, range(3, 4))
-        assert point.scenario.threshold == 3
-        assert point.detection_probability == detection_probability(
-            small.replace(threshold=3)
-        )
 
 
 class TestMaxSensorsCliValidation:

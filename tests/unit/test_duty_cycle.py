@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.duty_cycle import (
-    apply_duty_cycle,
-    effective_false_alarm_prob,
-    lifetime_multiplier,
-)
+from repro.core.duty_cycle import apply_duty_cycle, lifetime_multiplier
 from repro.errors import AnalysisError
 
 
@@ -38,17 +34,6 @@ class TestApplyDutyCycle:
             apply_duty_cycle(onr, 0.0)
         with pytest.raises(AnalysisError):
             apply_duty_cycle(onr, 1.5)
-
-
-class TestEffectiveFalseAlarmProb:
-    def test_scales_linearly(self):
-        assert effective_false_alarm_prob(1e-3, 0.5) == pytest.approx(5e-4)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(AnalysisError):
-            effective_false_alarm_prob(1e-3, 0.0)
-        with pytest.raises(AnalysisError):
-            effective_false_alarm_prob(1.0, 0.5)
 
 
 class TestLifetimeMultiplier:

@@ -12,7 +12,6 @@ class TestHierarchy:
             "ScenarioError",
             "GeometryError",
             "DistributionError",
-            "MarkovChainError",
             "DeploymentError",
             "SimulationError",
             "AnalysisError",
@@ -31,7 +30,6 @@ class TestHierarchy:
             "ScenarioError",
             "GeometryError",
             "DistributionError",
-            "MarkovChainError",
             "DeploymentError",
         ):
             assert issubclass(getattr(errors, name), ValueError), name

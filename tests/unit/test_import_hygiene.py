@@ -52,12 +52,11 @@ def test_entry_points_leave_deferred_scipy_modules_unloaded():
     }
 
 
-def test_single_period_analysis_loads_scipy_stats_on_first_use():
+def test_stage_accuracy_loads_scipy_stats_on_first_use():
     loaded = _deferred_modules_loaded_after(
         "import repro\n"
-        "from repro.core.single_period import detection_probability_single_period\n"
-        "s = repro.onr_scenario(window=1, threshold=1)\n"
-        "assert 0.0 < detection_probability_single_period(s) < 1.0\n"
+        "from repro.core.accuracy import stage_accuracy\n"
+        "assert 0.0 < stage_accuracy(240, 1.4e7, 1.024e9, 3) < 1.0\n"
     )
     assert loaded == {"scipy.stats": True, "scipy.signal": False, "networkx": False}
 

@@ -1,11 +1,11 @@
-"""Unit tests for repro.detection.instantaneous."""
+"""Unit tests for the InstantaneousDetector oracle in tests/detection_oracles.py."""
 
 import pytest
 
-from repro.detection.instantaneous import InstantaneousDetector
 from repro.detection.reports import DetectionReport
 from repro.errors import SimulationError
 from repro.geometry.shapes import Point
+from tests.detection_oracles import InstantaneousDetector
 
 
 def report(node_id, period) -> DetectionReport:

@@ -1,10 +1,9 @@
-"""Unit tests for repro.markov.chain."""
+"""Unit tests for the MarkovChain oracle in tests/markov_oracles.py."""
 
 import numpy as np
 import pytest
 
-from repro.errors import MarkovChainError
-from repro.markov.chain import MarkovChain
+from tests.markov_oracles import MarkovChain, MarkovChainError
 
 
 @pytest.fixture

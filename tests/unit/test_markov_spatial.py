@@ -14,10 +14,10 @@ from repro.errors import AnalysisError
 from repro.experiments.presets import onr_scenario
 from repro.markov.oracle import (
     distribution_gap,
-    matrix_detection_probability,
     ms_state_count,
     ms_transition_matrices,
 )
+from tests.markov_oracles import matrix_detection_probability
 
 
 @pytest.fixture

@@ -14,12 +14,12 @@ from repro.obs import (
     NULL_INSTRUMENTATION,
     Instrumentation,
     JsonlSink,
-    read_jsonl,
     render_profile,
     scenario_fingerprint,
     write_manifest,
 )
 from repro.simulation.runner import MonteCarloSimulator, SimulationResult
+from tests.support import read_jsonl
 
 #: The seed repo's golden fingerprint for small_scenario(), trials=500,
 #: seed=123 — first pinned in PR 1 and re-pinned here: enabling or

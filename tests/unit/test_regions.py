@@ -8,7 +8,6 @@ import pytest
 from repro.core.regions import (
     area_b,
     area_h_closed_form,
-    area_h_literal,
     area_t,
     body_subareas,
     head_subareas,
@@ -17,6 +16,7 @@ from repro.core.regions import (
 )
 from repro.errors import AnalysisError, GeometryError
 from repro.experiments.presets import onr_scenario
+from tests.region_oracles import area_h_literal
 
 
 class TestAreaH:

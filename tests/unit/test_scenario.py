@@ -110,6 +110,26 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=field):
             onr.replace(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_sensors", 10**30),
+            ("num_sensors", 2**63),
+            ("threshold", 10**20),
+            ("window", 2**63),
+            ("threshold", -(2**63) - 1),
+        ],
+    )
+    def test_from_dict_rejects_counts_beyond_int64(self, onr, field, value):
+        """A typed error, not the engine's raw ``OverflowError``."""
+        data = dict(onr.to_dict(), **{field: value})
+        with pytest.raises(ScenarioError, match=f"{field} must fit in a signed 64-bit"):
+            Scenario.from_dict(data)
+
+    def test_largest_int64_count_is_not_rejected_as_oversized(self, onr):
+        with pytest.raises(ScenarioError, match="does not fit in the field"):
+            onr.replace(window=2**63 - 1)
+
     def test_rejects_aregion_larger_than_field(self):
         with pytest.raises(ScenarioError):
             Scenario(

@@ -540,6 +540,39 @@ class TestRealEndpoints:
 
         run(main())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_sensors", 10**30), ("num_sensors", 2**63), ("threshold", 10**20)],
+    )
+    def test_analyze_oversized_counts_are_400(self, field, value):
+        """Counts past int64 are a typed 400, not the engine's OverflowError."""
+
+        async def main():
+            service = self._service()
+            body = json.dumps({"scenario": dict(SCENARIO, **{field: value})})
+            status, _, payload = await service.dispatch(
+                "POST", "/analyze", body.encode()
+            )
+            assert status == 400, payload
+            assert "64-bit" in json.loads(payload)["error"]
+
+        run(main())
+
+    @pytest.mark.parametrize("parameter", ["num_sensors", "threshold"])
+    def test_sweep_oversized_count_value_is_400(self, parameter):
+        async def main():
+            service = self._service()
+            body = json.dumps(
+                {"scenario": SCENARIO, "parameter": parameter, "values": [3, 10**30]}
+            )
+            status, _, payload = await service.dispatch(
+                "POST", "/sweep", body.encode()
+            )
+            assert status == 400, payload
+            assert "64-bit" in json.loads(payload)["error"]
+
+        run(main())
+
     def test_simulate_matches_direct_run_and_caps_trials(self):
         from repro.core.scenario import Scenario
         from repro.simulation.runner import MonteCarloSimulator
@@ -593,7 +626,7 @@ class TestRealEndpoints:
         """``num_sensors`` sweeps take the one-grid-call batched path in
         the handler; each row must still match the Eq. 12 matrix oracle."""
         from repro.core.scenario import Scenario
-        from repro.markov.oracle import matrix_detection_probability
+        from tests.markov_oracles import matrix_detection_probability
 
         async def main():
             service = self._service()

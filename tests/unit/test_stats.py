@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.stats import (
-    standard_error,
-    two_proportion_z_test,
-    wilson_interval,
-)
+from repro.simulation.stats import standard_error, wilson_interval
+from tests.detection_oracles import two_proportion_z_test
 
 
 class TestWilsonInterval:
@@ -71,29 +68,21 @@ class TestStandardError:
 
 class TestTwoProportionZTest:
     def test_identical_arms_high_p_value(self):
-        from repro.simulation.stats import two_proportion_z_test
-
         z, p = two_proportion_z_test(500, 1000, 500, 1000)
         assert z == pytest.approx(0.0)
         assert p == pytest.approx(1.0)
 
     def test_clearly_different_arms(self):
-        from repro.simulation.stats import two_proportion_z_test
-
         z, p = two_proportion_z_test(800, 1000, 500, 1000)
         assert z > 5.0
         assert p < 1e-6
 
     def test_sign_convention(self):
-        from repro.simulation.stats import two_proportion_z_test
-
         z_ab, _ = two_proportion_z_test(700, 1000, 500, 1000)
         z_ba, _ = two_proportion_z_test(500, 1000, 700, 1000)
         assert z_ab == pytest.approx(-z_ba)
 
     def test_degenerate_pooled_rate(self):
-        from repro.simulation.stats import two_proportion_z_test
-
         assert two_proportion_z_test(0, 100, 0, 200) == (0.0, 1.0)
         assert two_proportion_z_test(100, 100, 200, 200) == (0.0, 1.0)
 
@@ -102,8 +91,6 @@ class TestTwoProportionZTest:
         alpha = 0.001 (sanity of the whole simulation pipeline)."""
         from repro.experiments.presets import small_scenario
         from repro.simulation.runner import MonteCarloSimulator
-        from repro.simulation.stats import two_proportion_z_test
-
         scenario = small_scenario()
         a = MonteCarloSimulator(scenario, trials=3000, seed=101).run()
         b = MonteCarloSimulator(scenario, trials=3000, seed=202).run()
@@ -113,8 +100,6 @@ class TestTwoProportionZTest:
         assert p > 0.001
 
     def test_invalid_counts_rejected(self):
-        from repro.simulation.stats import two_proportion_z_test
-
         with pytest.raises(SimulationError):
             two_proportion_z_test(-1, 10, 1, 10)
         with pytest.raises(SimulationError):

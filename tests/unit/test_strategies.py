@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.deployment.field import SensorField
-from repro.deployment.strategies import deploy_grid, deploy_poisson, deploy_uniform
+from repro.deployment.strategies import deploy_grid, deploy_uniform
 from repro.errors import DeploymentError
 
 
@@ -46,25 +46,6 @@ class TestDeployUniform:
         # Mean of U(0, W) is W/2; allow 3 sigma.
         assert points[:, 0].mean() == pytest.approx(50.0, abs=1.5)
         assert points[:, 1].mean() == pytest.approx(25.0, abs=0.8)
-
-
-class TestDeployPoisson:
-    def test_count_close_to_expectation(self, field):
-        density = 0.1  # expect 500 points
-        points = deploy_poisson(field, density, rng=5)
-        assert 350 < points.shape[0] < 650
-
-    def test_zero_density(self, field):
-        assert deploy_poisson(field, 0.0, rng=1).shape == (0, 2)
-
-    def test_negative_density_rejected(self, field):
-        with pytest.raises(DeploymentError):
-            deploy_poisson(field, -0.1)
-
-    def test_bounds(self, field):
-        points = deploy_poisson(field, 0.05, rng=9)
-        assert np.all(points[:, 0] <= field.width)
-        assert np.all(points[:, 1] <= field.height)
 
 
 class TestDeployGrid:

@@ -14,8 +14,8 @@ from repro.streaming.recorder import (
     MANIFEST_SUFFIX,
     StreamRecorder,
     StreamReplayer,
-    record_episode,
 )
+from tests.support import record_episode
 
 
 def _report(node, period, x=0.0, y=0.0):

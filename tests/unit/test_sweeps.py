@@ -309,7 +309,7 @@ class TestAnalyticalGridSweep:
         assert serial == parallel
 
     def test_normalize_false_matches_scalar(self, scenario):
-        from repro.markov.oracle import matrix_detection_probability
+        from tests.markov_oracles import matrix_detection_probability
 
         rows = analytical_grid_sweep(
             scenario, {"threshold": [2]}, normalize=False

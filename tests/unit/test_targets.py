@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.targets import (
-    RandomWalkTarget,
-    StraightLineTarget,
-    WaypointTarget,
-)
+from repro.simulation.targets import RandomWalkTarget, StraightLineTarget
 
 
 @pytest.fixture
@@ -95,33 +91,6 @@ class TestRandomWalkTarget:
             RandomWalkTarget(0.0)
         with pytest.raises(SimulationError):
             RandomWalkTarget(1.0, max_turn=-0.1)
-
-
-class TestWaypointTarget:
-    def test_tiles_fixed_path(self, starts, rng):
-        path = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        waypoints = WaypointTarget(path).sample_waypoints(starts, 2, 10.0, rng)
-        assert waypoints.shape == (3, 3, 2)
-        for b in range(3):
-            np.testing.assert_allclose(waypoints[b], path)
-
-    def test_wrong_length_rejected(self, starts, rng):
-        path = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(SimulationError):
-            WaypointTarget(path).sample_waypoints(starts, 5, 10.0, rng)
-
-    def test_bad_path_rejected(self):
-        with pytest.raises(SimulationError):
-            WaypointTarget(np.array([[0.0, 0.0]]))
-        with pytest.raises(SimulationError):
-            WaypointTarget(np.zeros((3, 3)))
-
-    def test_result_is_writable_copy(self, starts, rng):
-        path = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        target = WaypointTarget(path)
-        waypoints = target.sample_waypoints(starts, 2, 10.0, rng)
-        waypoints[0, 0, 0] = 99.0
-        assert target.waypoints[0, 0] == 0.0
 
 
 class TestVaryingSpeedTarget:

@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.core.temporal import (
-    t_approach_state_count,
-    t_approach_state_count_detailed,
-)
+from repro.core.temporal import t_approach_state_count
 from repro.errors import AnalysisError
 from repro.experiments.presets import onr_scenario
 
@@ -26,11 +23,6 @@ class TestStateCount:
         # "the Markov chain needs to use millions or more states" (Sec. 3.2).
         assert t_approach_state_count(onr_slow, 3) > 1_000_000
 
-    def test_detailed_count_dominates(self, onr):
-        assert t_approach_state_count_detailed(onr, 3) >= t_approach_state_count(
-            onr, 3
-        )
-
     def test_ms_approach_is_exponentially_smaller(self, onr):
         from repro.markov.oracle import ms_state_count
 
@@ -40,5 +32,3 @@ class TestStateCount:
     def test_invalid_truncation_rejected(self, onr):
         with pytest.raises(AnalysisError):
             t_approach_state_count(onr, 0)
-        with pytest.raises(AnalysisError):
-            t_approach_state_count_detailed(onr, 0)

@@ -12,7 +12,6 @@ from repro.tracking import (
     cross_track_rmse,
     estimate_track,
     heading_error,
-    position_rmse,
     speed_error,
 )
 
@@ -106,7 +105,6 @@ class TestMetrics:
 
     def test_perfect_estimate_has_zero_errors(self, truth):
         estimate = estimate_track(straight_track_reports(), 60.0)
-        assert position_rmse(estimate, truth) == pytest.approx(0.0, abs=1e-6)
         assert cross_track_rmse(estimate, truth) == pytest.approx(0.0, abs=1e-6)
         assert heading_error(estimate, truth) == pytest.approx(0.0, abs=1e-9)
         assert speed_error(estimate, truth) == pytest.approx(0.0, abs=1e-9)
@@ -115,8 +113,7 @@ class TestMetrics:
         estimate = estimate_track(
             straight_track_reports(noise=100.0, rng=rng), 60.0
         )
-        assert position_rmse(estimate, truth) < 300.0
-        assert cross_track_rmse(estimate, truth) <= position_rmse(estimate, truth) + 1e-9
+        assert cross_track_rmse(estimate, truth) < 300.0
         assert heading_error(estimate, truth) < math.radians(20.0)
 
     def test_offset_track_cross_track_error(self, truth):
@@ -125,18 +122,12 @@ class TestMetrics:
         estimate = estimate_track(reports, 60.0)
         assert cross_track_rmse(estimate, truth) == pytest.approx(200.0, rel=0.01)
 
-    def test_period_outside_truth_rejected(self, truth):
-        reports = [report(p, p, (p - 0.5) * 600.0, 0.0) for p in range(1, 12)]
-        estimate = estimate_track(reports, 60.0)
-        with pytest.raises(AnalysisError):
-            position_rmse(estimate, truth)  # truth only has 8 periods
-
     def test_degenerate_truth_rejected(self):
         estimate = estimate_track(straight_track_reports(), 60.0)
         with pytest.raises(AnalysisError):
             heading_error(estimate, np.array([[0.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(AnalysisError):
-            position_rmse(estimate, np.array([[0.0, 0.0]]))
+            cross_track_rmse(estimate, np.array([[0.0, 0.0]]))
 
 
 class TestEndToEndTracking:
