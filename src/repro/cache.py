@@ -149,6 +149,7 @@ class AnalysisCache:
         self._evictions = 0
         self._expirations = 0
         self._stale_hits = 0
+        self._generation = 0
 
     @property
     def max_entries(self) -> Optional[int]:
@@ -335,8 +336,13 @@ class AnalysisCache:
         # themselves consult the cache (e.g. pmfs built from region areas).
         return self.store(key, compute())
 
+    @property
+    def generation(self) -> int:
+        """How many times :meth:`clear` has run on this cache."""
+        return self._generation
+
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
+        """Drop every entry, reset the counters, bump :attr:`generation`."""
         with self._lock:
             self._entries.clear()
             self._hits = 0
@@ -344,6 +350,7 @@ class AnalysisCache:
             self._evictions = 0
             self._expirations = 0
             self._stale_hits = 0
+            self._generation += 1
 
     def stats(self) -> dict:
         """JSON-serialisable snapshot (for benchmark records and logs)."""

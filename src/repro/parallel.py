@@ -57,6 +57,48 @@ crash retries, no timeout; :func:`parallel_map` takes both as options):
 * once crash retries are exhausted, the engine falls back to running the
   remaining tasks serially in the parent process, so a flaky pool
   degrades throughput instead of discarding completed work.
+
+One pool per process
+--------------------
+
+Every pooled call in a process — :func:`parallel_map` (and so the
+sweeps), :func:`run_simulator_parallel` and :func:`run_fused_parallel` —
+runs on one shared worker pool.  The first pooled call starts it and
+later calls reuse it, so a sweep of many grids forks its workers once
+instead of once per call.  The pool is discarded and the next call
+starts a new one only when
+
+* a worker dies (``BrokenProcessPool``);
+* a task overruns its timeout (the pool is abandoned, workers
+  terminated);
+* a call needs a different number of workers than the pool has.
+
+The pool is sized by the caller's ``workers``, not by its task count, so
+a short grid does not re-fork it.  A module lock lets one call use the
+pool at a time; a second thread's pooled call waits for it, and its
+``timeout`` does not count that wait.  ``on_result`` callbacks (and so a
+simulator's ``progress``) run while the pool is held: a pooled call made
+from one raises :class:`~repro.errors.SimulationError` instead of
+deadlocking.  A child made by ``os.fork()`` drops its inherited reference
+to the pool (an ``os.register_at_fork`` hook) and starts its own on first
+use.  At interpreter exit the standard ``concurrent.futures`` exit
+handler joins the workers, so none outlives the process.
+
+Each task is pickled in the parent and sent with the analysis cache's
+generation (:attr:`repro.cache.AnalysisCache.generation`).  A worker that
+sees a new generation clears its own cache first, so
+:func:`~repro.cache.clear_analysis_cache` reaches kept workers as it
+reached freshly forked ones.
+
+A pooled call runs the code the workers were forked with, not the
+parent's current module state.  Functions and classes are pickled by
+reference, so a task whose pickle names ``__main__`` (a script's, a
+notebook's or a REPL's definitions, which may have been added or
+redefined since the fork) runs on a freshly forked pool.  Code in
+importable modules is trusted to be what the workers imported: anything
+that patches module attributes (tests, tracing wrappers) and needs the
+workers to see the patch must discard the pool first
+(``repro.parallel._discard_pool()``).
 """
 
 from __future__ import annotations
@@ -73,6 +115,7 @@ from typing import Any, Callable, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.cache import analysis_cache
 from repro.errors import SimulationError, require_count
 
 __all__ = [
@@ -243,6 +286,89 @@ def _abandon_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+# The process-wide pool (see "One pool per process" in the module
+# docstring).  Guarded by _POOL_LOCK, which a pooled call holds while it
+# submits to and waits on the pool; _pool_owner is the holding thread.
+_POOL_LOCK = threading.Lock()
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_size = 0
+_pool_owner: Optional[int] = None
+# In a pool worker: the parent's cache generation this worker's cache
+# matches.  A forked child's cache is its parent's, so the fork hook
+# starts it at the inherited generation.
+_cache_generation = analysis_cache().generation
+
+
+def _forget_pool_after_fork() -> None:
+    """In a forked child: drop the parent's pool and lock unused.
+
+    The child has none of the executor's threads, so touching the
+    inherited executor would hang; the lock may have been held by another
+    thread of the parent at fork time.
+    """
+    global _POOL_LOCK, _pool, _pool_size, _pool_owner, _cache_generation
+    _POOL_LOCK = threading.Lock()
+    _pool = None
+    _pool_size = 0
+    _pool_owner = None
+    _cache_generation = analysis_cache().generation
+
+
+os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def _discard_pool(abandon: bool = False) -> None:
+    """Drop the shared pool; the next pooled call starts a fresh one.
+
+    ``abandon`` terminates the workers without joining them (they may be
+    hung); otherwise they are joined.
+    """
+    global _pool, _pool_size
+    pool, _pool, _pool_size = _pool, None, 0
+    if pool is None:
+        return
+    if abandon:
+        _abandon_pool(pool)
+    else:
+        pool.shutdown(wait=True)
+
+
+def _shared_pool(size: int, fresh: bool) -> ProcessPoolExecutor:
+    """The shared pool at ``size`` workers, started if needed (lock held).
+
+    ``fresh`` forks new workers even when the pool fits, for tasks whose
+    code the running workers may not have (see the module docstring).
+    """
+    global _pool, _pool_size
+    if _pool is not None and (
+        fresh or _pool_size != size or getattr(_pool, "_broken", False)
+    ):
+        _discard_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=size)
+        _pool_size = size
+        ob = obs.current()
+        if ob.enabled:
+            ob.incr("parallel.pool_starts")
+            ob.event("parallel.pool_start", size=size)
+    return _pool
+
+
+def _run_task(generation: int, payload: bytes) -> Any:
+    """Worker entry point: match the parent's cache generation, then run.
+
+    ``payload`` is the pickled ``(fn, args)``.  A generation the worker
+    has not seen means the parent cleared its analysis cache since; the
+    worker clears its own, as a freshly forked worker would start.
+    """
+    global _cache_generation
+    if generation != _cache_generation:
+        analysis_cache().clear()
+        _cache_generation = generation
+    fn, args = pickle.loads(payload)
+    return fn(*args)
+
+
 def _validate_resilience(
     timeout: Optional[float], max_retries: int = 0
 ) -> None:
@@ -287,11 +413,23 @@ def _execute_resilient(
 
     Observability: when instrumentation is active
     (:func:`repro.obs.current`), the engine emits the task lifecycle from
-    the parent side — ``parallel.task_submit`` / ``parallel.task_complete``
-    / ``parallel.task_retry`` / ``parallel.task_timeout`` /
-    ``parallel.pool_crash`` / ``parallel.serial_fallback`` events, with
-    matching ``parallel.*`` counters in the manifest.
+    the parent side — ``parallel.pool_start`` / ``parallel.task_submit``
+    / ``parallel.task_complete`` / ``parallel.task_retry`` /
+    ``parallel.task_timeout`` / ``parallel.pool_crash`` /
+    ``parallel.serial_fallback`` events, with matching ``parallel.*``
+    counters in the manifest.
     """
+    global _pool_owner
+    if _pool_owner == threading.get_ident():
+        raise SimulationError(
+            "a pooled call cannot start inside another pooled call's "
+            "on_result or progress callback; the pool is in use"
+        )
+    # Pickled here, before any pool starts, so an unpicklable task fails
+    # at once; a task naming __main__ gets freshly forked workers.
+    payloads = [pickle.dumps((fn, task)) for task in tasks]
+    fresh = any(b"__main__" in payload for payload in payloads)
+    generation = analysis_cache().generation
     ob = obs.current()
     results: List[Any] = [None] * len(tasks)
     pending = set(range(len(tasks)))
@@ -318,118 +456,130 @@ def _execute_resilient(
                 if on_result is not None:
                     on_result(index, results[index])
             break
-        pool_size = min(workers, len(pending))
-        pool = ProcessPoolExecutor(max_workers=pool_size)
-        abandon = False
-        try:
-            queue = sorted(pending)
-            next_pos = 0
+        with _POOL_LOCK:
+            _pool_owner = threading.get_ident()
+            abandon = broken = False
             futures: dict = {}
-            deadlines: dict = {}
+            try:
+                pool = _shared_pool(workers, fresh)
+                queue = sorted(pending)
+                next_pos = 0
+                deadlines: dict = {}
 
-            def submit_up_to_capacity() -> None:
-                # At most `pool_size` tasks in flight: a submitted task
-                # always finds a free worker, so its deadline bounds
-                # execution time rather than time spent queued behind
-                # other tasks.
-                nonlocal next_pos
-                while next_pos < len(queue) and len(futures) < pool_size:
-                    index = queue[next_pos]
-                    next_pos += 1
-                    future = pool.submit(fn, *tasks[index])
-                    futures[future] = index
-                    deadlines[future] = (
-                        (time.monotonic() + timeout)
-                        if timeout is not None
-                        else None
-                    )
-                    if ob.enabled:
-                        ob.event(
-                            "parallel.task_submit",
-                            index=index,
-                            attempt=attempts[index],
+                def submit_up_to_capacity() -> None:
+                    # At most `workers` tasks in flight: a submitted task
+                    # always finds a free worker, so its deadline bounds
+                    # execution time rather than time spent queued behind
+                    # other tasks.
+                    nonlocal next_pos
+                    while next_pos < len(queue) and len(futures) < workers:
+                        index = queue[next_pos]
+                        next_pos += 1
+                        future = pool.submit(
+                            _run_task, generation, payloads[index]
                         )
+                        futures[future] = index
+                        deadlines[future] = (
+                            (time.monotonic() + timeout)
+                            if timeout is not None
+                            else None
+                        )
+                        if ob.enabled:
+                            ob.event(
+                                "parallel.task_submit",
+                                index=index,
+                                attempt=attempts[index],
+                            )
 
-            submit_up_to_capacity()
-            while futures:
-                wait_for = None
-                if timeout is not None:
-                    wait_for = max(
-                        0.0,
-                        min(deadlines[f] for f in futures) - time.monotonic(),
-                    )
-                finished, _ = wait(
-                    set(futures), timeout=wait_for, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    index = futures.pop(future)
-                    del deadlines[future]
-                    results[index] = future.result()
-                    pending.discard(index)
-                    if ob.enabled:
-                        ob.incr("parallel.tasks_completed")
-                        ob.event(
-                            "parallel.task_complete", index=index, mode="pool"
-                        )
-                    if on_result is not None:
-                        on_result(index, results[index])
-                if timeout is not None and futures:
-                    now = time.monotonic()
-                    overdue = [f for f in futures if deadlines[f] <= now]
-                    if overdue:
-                        for future in overdue:
-                            index = futures[future]
-                            attempts[index] += 1
-                            if ob.enabled:
-                                ob.incr("parallel.task_timeouts")
-                                ob.event(
-                                    "parallel.task_timeout",
-                                    index=index,
-                                    attempts=attempts[index],
-                                    timeout=timeout,
-                                )
-                            if attempts[index] > max_retries:
-                                # The worker running this task may be
-                                # genuinely hung; joining it would wedge
-                                # the parent, so abandon the pool before
-                                # the error propagates.
-                                abandon = True
-                                raise SimulationError(
-                                    f"task {index} exceeded its {timeout} s "
-                                    f"timeout on {attempts[index]} attempts; "
-                                    "giving up (it would hang serially too)"
-                                )
-                        raise _PoolRestart
                 submit_up_to_capacity()
-        except _PoolRestart:
-            # Overdue tasks re-enter `pending`; only here may workers be
-            # genuinely hung, so the pool is torn down without joining.
-            abandon = True
-        except BrokenProcessPool:
-            # A worker died; we cannot tell whose task killed it, so every
-            # unfinished task gets one attempt charged.  Determinism makes
-            # the retry exact: same seed material, same result.
-            if ob.enabled:
-                ob.incr("parallel.pool_crashes")
-                ob.incr("parallel.task_retries", len(pending))
-                ob.event("parallel.pool_crash", pending=sorted(pending))
-                for index in sorted(pending):
-                    ob.event(
-                        "parallel.task_retry",
-                        index=index,
-                        attempts=attempts[index] + 1,
-                        reason="pool_crash",
+                while futures:
+                    wait_for = None
+                    if timeout is not None:
+                        wait_for = max(
+                            0.0,
+                            min(deadlines[f] for f in futures)
+                            - time.monotonic(),
+                        )
+                    finished, _ = wait(
+                        set(futures),
+                        timeout=wait_for,
+                        return_when=FIRST_COMPLETED,
                     )
-            for index in pending:
-                attempts[index] += 1
-        finally:
-            if abandon:
-                _abandon_pool(pool)
-            else:
-                # Plain join: workers here are healthy, finished, or
-                # already reaped by the executor (cancel_futures would
-                # race the feeder thread's pickling-error path).
-                pool.shutdown(wait=True)
+                    for future in finished:
+                        index = futures.pop(future)
+                        del deadlines[future]
+                        results[index] = future.result()
+                        pending.discard(index)
+                        if ob.enabled:
+                            ob.incr("parallel.tasks_completed")
+                            ob.event(
+                                "parallel.task_complete",
+                                index=index,
+                                mode="pool",
+                            )
+                        if on_result is not None:
+                            on_result(index, results[index])
+                    if timeout is not None and futures:
+                        now = time.monotonic()
+                        overdue = [f for f in futures if deadlines[f] <= now]
+                        if overdue:
+                            for future in overdue:
+                                index = futures[future]
+                                attempts[index] += 1
+                                if ob.enabled:
+                                    ob.incr("parallel.task_timeouts")
+                                    ob.event(
+                                        "parallel.task_timeout",
+                                        index=index,
+                                        attempts=attempts[index],
+                                        timeout=timeout,
+                                    )
+                                if attempts[index] > max_retries:
+                                    # The worker running this task may be
+                                    # genuinely hung; joining it would wedge
+                                    # the parent, so abandon the pool before
+                                    # the error propagates.
+                                    abandon = True
+                                    raise SimulationError(
+                                        f"task {index} exceeded its "
+                                        f"{timeout} s timeout on "
+                                        f"{attempts[index]} attempts; giving "
+                                        "up (it would hang serially too)"
+                                    )
+                            raise _PoolRestart
+                    submit_up_to_capacity()
+            except _PoolRestart:
+                # Overdue tasks re-enter `pending`; only here may workers be
+                # genuinely hung, so the pool is torn down without joining.
+                abandon = True
+            except BrokenProcessPool:
+                broken = True
+                # A worker died; we cannot tell whose task killed it, so every
+                # unfinished task gets one attempt charged.  Determinism makes
+                # the retry exact: same seed material, same result.
+                if ob.enabled:
+                    ob.incr("parallel.pool_crashes")
+                    ob.incr("parallel.task_retries", len(pending))
+                    ob.event("parallel.pool_crash", pending=sorted(pending))
+                    for index in sorted(pending):
+                        ob.event(
+                            "parallel.task_retry",
+                            index=index,
+                            attempts=attempts[index] + 1,
+                            reason="pool_crash",
+                        )
+                for index in pending:
+                    attempts[index] += 1
+            finally:
+                if abandon or broken:
+                    _discard_pool(abandon=abandon)
+                elif futures:
+                    # A task or callback raised with others in flight: let
+                    # them finish so the next call finds every worker idle.
+                    for future in futures:
+                        future.cancel()
+                    wait(set(futures))
+                _pool_owner = None
     return results
 
 
@@ -461,7 +611,7 @@ def _run_sharded(engine, workers: int, merge, progress=None):
     tasks = [(engine, shard, seed) for shard, seed in zip(shards, seeds)]
     try:
         results = _execute_resilient(
-            _run_shard, tasks, workers=len(shards), on_result=on_result
+            _run_shard, tasks, workers=workers, on_result=on_result
         )
     except SimulationError:
         raise
@@ -533,6 +683,12 @@ def parallel_map(
         on_result: optional ``(index, result)`` callback fired as each
             item completes (input order when inline, completion order on
             the pool) — the hook checkpointed sweeps persist through.
+            It runs while the pool is held, so it must not make a pooled
+            call itself (that raises :class:`SimulationError`).
+
+    Pooled calls run on the process-wide pool one at a time: a call from
+    a second thread waits for the first, and ``timeout`` does not count
+    that wait.
 
     Returns:
         Results in input order.
@@ -555,7 +711,7 @@ def parallel_map(
         return _execute_resilient(
             _invoke,
             [(task,) for task in tasks],
-            workers=min(workers, len(tasks)),
+            workers=workers,
             timeout=timeout,
             max_retries=max_retries,
             on_result=on_result,

@@ -35,6 +35,7 @@ degraded ``/simulate`` sweep returns the degraded ``/sweep`` rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -222,7 +223,11 @@ def _canonical_simulate_sweep(payload: Dict[str, Any], base: Scenario):
             raise RequestError(
                 f"sweep values must be numbers, got {value!r}"
             )
-        if float(value) != int(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise RequestError(
+                f"'{parameter}' sweep values must be finite, got {value!r}"
+            )
+        if isinstance(value, float) and not value.is_integer():
             raise RequestError(
                 f"'{parameter}' sweep values must be integers, got {value!r}"
             )

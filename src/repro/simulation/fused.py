@@ -65,6 +65,12 @@ from repro.simulation.stats import wilson_interval
 
 __all__ = ["FusedMonteCarloEngine", "FusedSweepResult"]
 
+#: Trials per coverage/detection sub-block inside one batch.  A whole
+#: 512-trial batch at N = 240, M = 20 needs ~20 MB of detection draws;
+#: 64-trial blocks need ~2.5 MB, and long-lived pool workers keep their
+#: high-water mark.
+_SUB_BLOCK = 64
+
 
 def _int_axis(values, name: str, minimum: int) -> Tuple[int, ...]:
     out = []
@@ -325,25 +331,30 @@ class FusedMonteCarloEngine:
             # deploy, then waypoints, then detections.
             sensors = simulator._deploy_batch(batch, rng)
             waypoints = simulator._sample_waypoints(batch, rng)
-            coverage = segment_coverage(
-                sensors,
-                waypoints,
-                scenario.sensing_range,
-                field=scenario.field,
-                wrap=self._boundary == "torus",
-            )
-            detected = sample_detections(
-                coverage, scenario.detect_prob, rng
-            )
-            # (B, N_max) running totals over the deployment prefix: entry
-            # [:, n - 1] is exactly what a run at fleet size n would have
-            # counted from these draws.
-            prefix_reports = np.cumsum(detected.sum(axis=2), axis=1)
-            prefix_nodes = np.cumsum(detected.any(axis=2), axis=1)
-            report_counts[done : done + batch] = prefix_reports[
-                :, prefix_index
-            ]
-            node_counts[done : done + batch] = prefix_nodes[:, prefix_index]
+            # Coverage and detections run over sub-blocks of the batch so
+            # the (trials, N, M) temporaries stay small.  The detection
+            # draws are taken in trial order, so the generator yields the
+            # same numbers as one whole-batch draw.
+            for start in range(0, batch, _SUB_BLOCK):
+                stop = min(start + _SUB_BLOCK, batch)
+                coverage = segment_coverage(
+                    sensors[start:stop],
+                    waypoints[start:stop],
+                    scenario.sensing_range,
+                    field=scenario.field,
+                    wrap=self._boundary == "torus",
+                )
+                detected = sample_detections(
+                    coverage, scenario.detect_prob, rng
+                )
+                # (b, N_max) running totals over the deployment prefix:
+                # entry [:, n - 1] is exactly what a run at fleet size n
+                # would have counted from these draws.
+                prefix_reports = np.cumsum(detected.sum(axis=2), axis=1)
+                prefix_nodes = np.cumsum(detected.any(axis=2), axis=1)
+                rows = slice(done + start, done + stop)
+                report_counts[rows] = prefix_reports[:, prefix_index]
+                node_counts[rows] = prefix_nodes[:, prefix_index]
             done += batch
         return FusedSweepResult(
             scenario=self._scenario,

@@ -41,6 +41,16 @@ class TestAnalysisCache:
         assert (cache.hits, cache.misses) == (0, 0)
         assert cache.hit_rate() == 0.0
 
+    def test_clear_bumps_generation(self):
+        # Pool workers compare generations to follow the parent's clears.
+        cache = AnalysisCache()
+        assert cache.generation == 0
+        cache.get_or_compute("a", lambda: 1)
+        assert cache.generation == 0
+        cache.clear()
+        cache.clear()
+        assert cache.generation == 2
+
     def test_eviction_drops_oldest(self):
         cache = AnalysisCache(max_entries=2)
         for key in ("a", "b", "c"):

@@ -418,6 +418,9 @@ def _refuse_starts(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pool or fleet started before validation")
 
+    # A pool an earlier test left running would be reused without a
+    # constructor call; drop it so the guard fires whatever ran before.
+    parallel._discard_pool()
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(orchestrator, "LocalFleet", refuse)
 

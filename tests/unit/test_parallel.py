@@ -1,11 +1,22 @@
-"""Unit tests for repro.parallel: sharding, seeding, merging, determinism."""
+"""Unit tests for repro.parallel: sharding, seeding, merging, determinism,
+and the process-wide worker pool's lifetime."""
 
+import functools
 import hashlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
 
+from repro import analysis_cache, clear_analysis_cache, obs, parallel
 from repro.errors import SimulationError
+from repro.experiments.sweeps import grid_sweep
 from repro.parallel import (
     available_workers,
     merge_simulation_results,
@@ -14,6 +25,7 @@ from repro.parallel import (
     spawn_seed_sequences,
     split_trials,
 )
+from repro.simulation.fused import FusedMonteCarloEngine
 from repro.simulation.runner import MonteCarloSimulator, SimulationResult
 
 
@@ -235,3 +247,233 @@ class TestParallelMap:
 
 def test_available_workers_positive():
     assert available_workers() >= 1
+
+
+def _pid(_item):
+    return os.getpid()
+
+
+def _pid_row(a):
+    return {"a": a, "pid": os.getpid()}
+
+
+def _square_row_crashing_once(a, crash_file):
+    """Kills its worker the first time it sees ``a == 2``."""
+    if a == 2 and not os.path.exists(crash_file):
+        with open(crash_file, "w"):
+            pass
+        os._exit(1)
+    return {"a": a, "square": a * a}
+
+
+def _alive(pid):
+    """True while ``pid`` runs (a zombie has exited and counts as dead)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
+def _pool_pids(workers=2):
+    """Pids of the pool workers that ran a small map (some may idle)."""
+    return set(parallel_map(_pid, range(4 * workers), workers=workers))
+
+
+def _cache_probe(item):
+    """(worker pid, analysis-cache entries before this task adds one)."""
+    entries = analysis_cache().stats()["entries"]
+    analysis_cache().get_or_compute(("pool-probe", item), lambda: item)
+    return os.getpid(), entries
+
+
+def _run_script(script):
+    """Run ``script`` in a fresh interpreter; its last stdout line as JSON."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="reads process states from /proc"
+)
+class TestSharedPool:
+    """One worker pool per process: reused by every pooled call, rebuilt
+    after a crash or a timeout, never inherited by a forked child, and
+    joined when the interpreter exits."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        parallel._discard_pool()
+        yield
+        parallel._discard_pool()
+
+    def test_calls_reuse_one_pool(self, small):
+        with obs.instrument() as ob:
+            first = _pool_pids()
+            second = _pool_pids()
+            rows = grid_sweep({"a": list(range(6))}, _pid_row, workers=2)
+            FusedMonteCarloEngine(
+                small, num_sensors=[10, 40], trials=200, seed=3
+            ).run(workers=2)
+            MonteCarloSimulator(small, trials=100, seed=3).run(workers=2)
+            third = _pool_pids()
+        pids = first | second | {row["pid"] for row in rows} | third
+        assert os.getpid() not in pids
+        assert len(pids) <= 2  # one pool of two workers served every call
+        assert ob.counters["parallel.pool_starts"] == 1
+        starts = [e for e in ob.events if e["name"] == "parallel.pool_start"]
+        assert [e["size"] for e in starts] == [2]
+
+    def test_different_size_starts_a_new_pool(self):
+        with obs.instrument() as ob:
+            two = _pool_pids(2)
+            three = _pool_pids(3)
+        assert not two & three
+        assert ob.counters["parallel.pool_starts"] == 2
+
+    def test_crash_rebuilds_the_pool_and_rows_stay_exact(self, tmp_path):
+        before = _pool_pids()
+        crash_file = str(tmp_path / "crashed")
+        compute = functools.partial(
+            _square_row_crashing_once, crash_file=crash_file
+        )
+        grids = {"a": list(range(9))}
+        with obs.instrument() as ob:
+            crashed = grid_sweep(grids, compute, workers=2)
+        assert os.path.exists(crash_file)  # the crash really happened
+        assert ob.counters["parallel.pool_crashes"] == 1
+        assert ob.counters["parallel.pool_starts"] == 1  # the rebuild
+        clean = grid_sweep(grids, compute, workers=1)
+        assert json.dumps(crashed) == json.dumps(clean)
+        after = _pool_pids()
+        assert after and not after & before
+
+    def test_timeout_abandon_starts_a_fresh_pool(self):
+        before = _pool_pids()
+        with pytest.raises(SimulationError, match="timeout"):
+            parallel_map(
+                time.sleep, [30.0, 30.0], workers=2, timeout=0.3, max_retries=0
+            )
+        after = _pool_pids()
+        assert after and not after & before
+
+    def test_forked_child_runs_its_own_pool(self):
+        parent_pids = _pool_pids()  # the child inherits a live pool
+        read_fd, write_fd = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the forked child
+            status = 1
+            try:
+                os.close(read_fd)
+                pids = sorted(_pool_pids())
+                os.write(write_fd, json.dumps(pids).encode())
+                parallel._discard_pool()
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(child, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+                os.close(read_fd)
+                pytest.fail("a forked child hung in its pooled call")
+            time.sleep(0.05)
+        with os.fdopen(read_fd) as reader:
+            child_pids = set(json.loads(reader.read() or "[]"))
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert child_pids and not child_pids & parent_pids
+        # The parent's pool is intact: still the same two workers.
+        assert len(parent_pids | _pool_pids()) <= 2
+
+    def test_no_worker_outlives_the_interpreter(self):
+        pids = _run_script(
+            """
+            import json, os
+            from repro.experiments.sweeps import grid_sweep
+
+            def row(a):
+                return {"a": a, "pid": os.getpid()}
+
+            rows = grid_sweep({"a": list(range(8))}, row, workers=2)
+            print(json.dumps(sorted({r["pid"] for r in rows})))
+            """
+        )
+        assert pids
+        assert [pid for pid in pids if _alive(pid)] == []
+
+    def test_main_compute_runs_its_current_body(self):
+        # The pool starts on library code; `row` is defined after it and
+        # then redefined, so kept workers would lack it or hold its old
+        # body.  Tasks naming __main__ get freshly forked workers.
+        calls = _run_script(
+            """
+            import json
+            from repro import obs
+            from repro.experiments.sweeps import grid_sweep
+
+            grids = {"a": [1, 2, 3, 4]}
+            with obs.instrument() as ob:
+                rows = [grid_sweep(grids, dict, workers=2)]
+
+                def row(a):
+                    return {"a": a, "v": a}
+
+                rows.append(grid_sweep(grids, row, workers=2))
+
+                def row(a):
+                    return {"a": a, "v": -a}
+
+                rows.append(grid_sweep(grids, row, workers=2))
+                rows.append(grid_sweep(grids, dict, workers=2))
+            rows.append(ob.counters["parallel.pool_starts"])
+            print(json.dumps(rows))
+            """
+        )
+        plain, first, redefined, again, starts = calls
+        assert plain == again == [{"a": a} for a in (1, 2, 3, 4)]
+        assert first == [{"a": a, "v": a} for a in (1, 2, 3, 4)]
+        assert redefined == [{"a": a, "v": -a} for a in (1, 2, 3, 4)]
+        assert starts == 3  # library calls reuse the last fresh pool
+
+    def test_clear_analysis_cache_reaches_kept_workers(self):
+        parallel_map(_cache_probe, range(8), workers=2)  # warm both
+        clear_analysis_cache()
+        seen = parallel_map(_cache_probe, range(8, 16), workers=2)
+        first_on_each_worker = {}
+        for pid, entries in seen:  # a worker runs its tasks in input order
+            first_on_each_worker.setdefault(pid, entries)
+        assert set(first_on_each_worker.values()) == {0}
+
+    def test_pooled_call_from_on_result_raises(self):
+        def nested(_index, _result):
+            parallel_map(_pid, range(4), workers=2)
+
+        with pytest.raises(SimulationError, match="inside another pooled"):
+            parallel_map(_pid, range(4), workers=2, on_result=nested)
+        assert _pool_pids()  # the pool is released and still serves
+
+    def test_short_call_keeps_the_pool(self):
+        # Sized by `workers`, not the task count: a 3-point call at
+        # workers=4 must not re-fork the pool the 8-point calls use.
+        with obs.instrument() as ob:
+            for items in (8, 3, 8, 2):
+                parallel_map(_pid, range(items), workers=4)
+        assert ob.counters["parallel.pool_starts"] == 1

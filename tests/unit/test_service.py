@@ -573,6 +573,35 @@ class TestRealEndpoints:
 
         run(main())
 
+    @pytest.mark.parametrize("parameter", ["num_sensors", "threshold"])
+    @pytest.mark.parametrize(
+        "value, reason",
+        [(float("inf"), "finite"), (float("nan"), "finite"), (10**400, "64-bit")],
+    )
+    def test_simulate_non_finite_sweep_values_are_400(
+        self, parameter, value, reason
+    ):
+        """``Infinity`` / ``NaN`` (which ``json`` parses) and integers too
+        large for a float are a typed 400, not a 500 from ``int()`` or
+        ``float()``."""
+
+        async def main():
+            service = self._service()
+            body = json.dumps(
+                {
+                    "scenario": SCENARIO,
+                    "trials": 100,
+                    "sweep": {"parameter": parameter, "values": [2, value]},
+                }
+            )
+            status, _, payload = await service.dispatch(
+                "POST", "/simulate", body.encode()
+            )
+            assert status == 400, payload
+            assert reason in json.loads(payload)["error"]
+
+        run(main())
+
     def test_simulate_matches_direct_run_and_caps_trials(self):
         from repro.core.scenario import Scenario
         from repro.simulation.runner import MonteCarloSimulator
