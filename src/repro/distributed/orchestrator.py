@@ -18,14 +18,16 @@ see EOF; the checkpoint stays partial for a later resume).
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 import signal
+import threading
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.distributed.coordinator import SweepCoordinator
 from repro.distributed.worker import worker_main
-from repro.parallel import _validate_resilience, _validate_workers
+from repro.parallel import _validate_workers
 
 __all__ = ["LocalFleet", "distributed_sweep"]
 
@@ -173,7 +175,17 @@ def distributed_sweep(
         SimulationError: a ``timeout`` that is not ``None`` or a finite
             number of seconds > 0 (checked before the fleet starts).
     """
-    _validate_resilience(timeout)
+    # Bools, strings, NaN and ±inf are refused here rather than
+    # busy-waiting or overflowing a thread wait mid-run.
+    if timeout is not None and (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, numbers.Real)
+        or not 0 < timeout <= threading.TIMEOUT_MAX
+    ):
+        raise SimulationError(
+            "timeout must be None or a finite number of seconds > 0, "
+            f"got {timeout!r}"
+        )
     fleet = LocalFleet(
         points,
         spec,

@@ -220,6 +220,13 @@ def _compute_shard(
     return [compute(point) for point in points]
 
 
+def _call_with_kwargs(
+    compute: Callable[..., Dict[str, Any]], point: Dict[str, Any]
+) -> Dict[str, Any]:
+    """``compute(**point)``: one grid point's row."""
+    return compute(**point)
+
+
 def _shards(indexes: List[int], count: int) -> List[List[int]]:
     """``indexes`` cut into ``count`` contiguous runs whose lengths differ
     by at most one."""
@@ -314,9 +321,12 @@ def _run_points(
         # doing it between a large batched grid's lookups raised peak RSS.
         eager = checkpoint is not None or ob.enabled
         rows = parallel_map(
-            compute_fn,
+            (
+                functools.partial(_call_with_kwargs, compute_fn)
+                if kwargs_items
+                else compute_fn
+            ),
             [points[index] for index in missing],
-            kwargs_items=kwargs_items,
             on_result=(
                 (lambda position, row: finish([missing[position]], [row]))
                 if eager

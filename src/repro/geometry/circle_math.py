@@ -19,6 +19,11 @@ from repro.errors import GeometryError
 
 __all__ = ["circle_lens_area"]
 
+#: Gaps ``2r - d`` below this fraction of ``r`` take the tangency branch
+#: of :func:`circle_lens_area`; every other distance keeps the textbook
+#: formula bit for bit.
+_TANGENCY = 1e-4
+
 
 def circle_lens_area(distance: float, radius: float) -> float:
     """Intersection area of two circles of equal ``radius``.
@@ -40,10 +45,20 @@ def circle_lens_area(distance: float, radius: float) -> float:
         raise GeometryError(f"distance must be non-negative, got {distance}")
     if radius == 0 or distance >= 2 * radius:
         return 0.0
-    half = distance / 2.0
-    area = 2.0 * radius * radius * math.acos(half / radius) - distance * math.sqrt(
-        radius * radius - half * half
-    )
+    gap = 2.0 * radius - distance
+    if gap < _TANGENCY * radius:
+        # Near tangency d / 2r rounds to within an ulp of 1, where acos
+        # and sqrt(r^2 - (d/2)^2) lose half their digits.  The gap
+        # 2r - d is exact here (Sterbenz), and both factors follow from
+        # it: sqrt(4r^2 - d^2) = sqrt(gap (2r + d)), acos = atan2(that, d).
+        chord = math.sqrt(gap * (2.0 * radius + distance))
+        angle = math.atan2(chord, distance)
+        area = 2.0 * radius * radius * angle - distance * chord / 2.0
+    else:
+        half = distance / 2.0
+        area = 2.0 * radius * radius * math.acos(
+            half / radius
+        ) - distance * math.sqrt(radius * radius - half * half)
     # Near d = 2r the two terms cancel catastrophically and can leave a
     # tiny negative residue; the true area is non-negative by definition.
     return max(0.0, area)

@@ -36,27 +36,23 @@ otherwise.
 Crash resilience
 ----------------
 
-Long sweeps must survive their own infrastructure.  Both executors run on
-a shared resilient engine (the trial-shard runners on its defaults: two
-crash retries, no timeout; :func:`parallel_map` takes both as options):
+Long sweeps must survive their own infrastructure.  Every pooled call
+runs on one resilient engine:
 
-* a worker process dying mid-shard (OOM kill, segfault, ``os._exit``)
+* a worker process dying mid-task (OOM kill, segfault, ``os._exit``)
   surfaces as :class:`~concurrent.futures.process.BrokenProcessPool`; the
   engine rebuilds the pool and resubmits every unfinished task, up to
-  ``max_retries`` times.  Because shard ``i`` always re-runs with the same
+  two times.  Because shard ``i`` always re-runs with the same
   ``SeedSequence`` child, **a retried shard produces the exact result the
   crashed attempt would have** — crash recovery never changes the output;
-* ``timeout`` bounds each task's *running* wall-clock seconds — at most
-  ``workers`` tasks are in flight at once and each clock starts when the
-  task is handed to a free worker, so queue wait behind other tasks never
-  counts against it.  An overdue pool is abandoned (workers terminated
-  best-effort, never joined) and the overdue tasks are retried.  A task
-  that times out on every attempt raises
-  :class:`~repro.errors.SimulationError` after the pool is abandoned —
-  it would hang serially too;
 * once crash retries are exhausted, the engine falls back to running the
   remaining tasks serially in the parent process, so a flaky pool
   degrades throughput instead of discarding completed work.
+
+An exception raised by the task's own code is not a crash: it reaches
+the caller with its own type, as it would from a plain call, once the
+tasks still in flight have finished.  Only a failure to pickle a task
+is reported as a :class:`~repro.errors.SimulationError`.
 
 One pool per process
 --------------------
@@ -66,23 +62,19 @@ sweeps), :func:`run_simulator_parallel` and :func:`run_fused_parallel` —
 runs on one shared worker pool.  The first pooled call starts it and
 later calls reuse it, so a sweep of many grids forks its workers once
 instead of once per call.  The pool is discarded and the next call
-starts a new one only when
-
-* a worker dies (``BrokenProcessPool``);
-* a task overruns its timeout (the pool is abandoned, workers
-  terminated);
-* a call needs a different number of workers than the pool has.
+starts a new one only when a worker dies (``BrokenProcessPool``) or a
+call needs a different number of workers than the pool has.
 
 The pool is sized by the caller's ``workers``, not by its task count, so
 a short grid does not re-fork it.  A module lock lets one call use the
-pool at a time; a second thread's pooled call waits for it, and its
-``timeout`` does not count that wait.  ``on_result`` callbacks (and so a
-simulator's ``progress``) run while the pool is held: a pooled call made
-from one raises :class:`~repro.errors.SimulationError` instead of
-deadlocking.  A child made by ``os.fork()`` drops its inherited reference
-to the pool (an ``os.register_at_fork`` hook) and starts its own on first
-use.  At interpreter exit the standard ``concurrent.futures`` exit
-handler joins the workers, so none outlives the process.
+pool at a time; a second thread's pooled call waits for it.
+``on_result`` callbacks (and so a simulator's ``progress``) run while
+the pool is held: a pooled call made from one raises
+:class:`~repro.errors.SimulationError` instead of deadlocking.  A child
+made by ``os.fork()`` drops its inherited reference to the pool (an
+``os.register_at_fork`` hook) and starts its own on first use.  At
+interpreter exit the standard ``concurrent.futures`` exit handler joins
+the workers, so none outlives the process.
 
 Each task is pickled in the parent and sent with the analysis cache's
 generation (:attr:`repro.cache.AnalysisCache.generation`).  A worker that
@@ -103,12 +95,10 @@ workers to see the patch must discard the pool first
 
 from __future__ import annotations
 
-import numbers
 import os
 import pickle
 import threading
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence
 
@@ -254,36 +244,9 @@ def _run_shard(simulator, trials: int, seed_seq: np.random.SeedSequence):
     return simulator._run_serial(trials, np.random.default_rng(seed_seq))
 
 
-def _wrap_pickling_error(exc: Exception) -> SimulationError:
-    return SimulationError(
-        "parallel execution requires every simulator component "
-        "(deployment, target, sensing ranges, ...) to be picklable; use "
-        "module-level functions or functools.partial instead of lambdas "
-        f"and local closures ({exc})"
-    )
-
-
-class _PoolRestart(Exception):
-    """Internal control flow: abandon the current pool and resubmit."""
-
-
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down without waiting on possibly-hung workers.
-
-    ``shutdown(wait=True)`` would join workers that may never return; the
-    best-effort ``terminate`` ensures an overdue worker cannot wedge the
-    parent (or the interpreter's exit handler).
-    """
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # pragma: no cover - shutdown never raises in CPython
-        pass
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already-dead worker
-            pass
+#: Pool rebuilds after worker crashes allowed per task before the
+#: remaining tasks run serially in the parent.
+_MAX_RETRIES = 2
 
 
 # The process-wide pool (see "One pool per process" in the module
@@ -317,19 +280,12 @@ def _forget_pool_after_fork() -> None:
 os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
-def _discard_pool(abandon: bool = False) -> None:
-    """Drop the shared pool; the next pooled call starts a fresh one.
-
-    ``abandon`` terminates the workers without joining them (they may be
-    hung); otherwise they are joined.
-    """
+def _discard_pool() -> None:
+    """Drop the shared pool, joining its workers; the next pooled call
+    starts a fresh one."""
     global _pool, _pool_size
     pool, _pool, _pool_size = _pool, None, 0
-    if pool is None:
-        return
-    if abandon:
-        _abandon_pool(pool)
-    else:
+    if pool is not None:
         pool.shutdown(wait=True)
 
 
@@ -369,36 +325,10 @@ def _run_task(generation: int, payload: bytes) -> Any:
     return fn(*args)
 
 
-def _validate_resilience(
-    timeout: Optional[float], max_retries: int = 0
-) -> None:
-    """Reject bad pool/fleet bounds before any process starts.
-
-    ``timeout`` must be ``None`` or a real number of seconds in
-    ``(0, threading.TIMEOUT_MAX]`` — bools, strings, NaN and ±inf are
-    refused here rather than busy-waiting or overflowing mid-run — and
-    ``max_retries`` an integer >= 0 (not a bool).
-    """
-    if timeout is not None and (
-        isinstance(timeout, bool)
-        or not isinstance(timeout, numbers.Real)
-        or not 0 < timeout <= threading.TIMEOUT_MAX
-    ):
-        raise SimulationError(
-            "timeout must be None or a finite number of seconds > 0, "
-            f"got {timeout!r}"
-        )
-    require_count("max_retries", max_retries, SimulationError)
-    if max_retries < 0:
-        raise SimulationError(f"max_retries must be >= 0, got {max_retries}")
-
-
 def _execute_resilient(
     fn: Callable[..., Any],
     tasks: Sequence[tuple],
     workers: int,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Run ``fn(*task)`` for every task over a process pool, surviving crashes.
@@ -411,13 +341,18 @@ def _execute_resilient(
     Returns:
         Results in task order.
 
+    Raises:
+        SimulationError: a task that cannot be pickled (checked before
+            any pool starts), or a call from inside another pooled
+            call's ``on_result``.  An error raised by ``fn`` itself
+            propagates with its own type.
+
     Observability: when instrumentation is active
     (:func:`repro.obs.current`), the engine emits the task lifecycle from
     the parent side — ``parallel.pool_start`` / ``parallel.task_submit``
     / ``parallel.task_complete`` / ``parallel.task_retry`` /
-    ``parallel.task_timeout`` / ``parallel.pool_crash`` /
-    ``parallel.serial_fallback`` events, with matching ``parallel.*``
-    counters in the manifest.
+    ``parallel.pool_crash`` / ``parallel.serial_fallback`` events, with
+    matching ``parallel.*`` counters in the manifest.
     """
     global _pool_owner
     if _pool_owner == threading.get_ident():
@@ -427,7 +362,15 @@ def _execute_resilient(
         )
     # Pickled here, before any pool starts, so an unpicklable task fails
     # at once; a task naming __main__ gets freshly forked workers.
-    payloads = [pickle.dumps((fn, task)) for task in tasks]
+    try:
+        payloads = [pickle.dumps((fn, task)) for task in tasks]
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise SimulationError(
+            "parallel execution requires every simulator component "
+            "(deployment, target, sensing ranges, ...) to be picklable; "
+            "use module-level functions or functools.partial instead of "
+            f"lambdas and local closures ({exc})"
+        ) from exc
     fresh = any(b"__main__" in payload for payload in payloads)
     generation = analysis_cache().generation
     ob = obs.current()
@@ -437,7 +380,7 @@ def _execute_resilient(
     if ob.enabled:
         ob.incr("parallel.tasks", len(tasks))
     while pending:
-        if any(attempts[index] > max_retries for index in pending):
+        if any(attempts[index] > _MAX_RETRIES for index in pending):
             # Crash retries exhausted: finish the remaining work serially
             # in the parent rather than discarding completed shards.
             if ob.enabled:
@@ -458,100 +401,30 @@ def _execute_resilient(
             break
         with _POOL_LOCK:
             _pool_owner = threading.get_ident()
-            abandon = broken = False
+            broken = False
             futures: dict = {}
             try:
                 pool = _shared_pool(workers, fresh)
-                queue = sorted(pending)
-                next_pos = 0
-                deadlines: dict = {}
-
-                def submit_up_to_capacity() -> None:
-                    # At most `workers` tasks in flight: a submitted task
-                    # always finds a free worker, so its deadline bounds
-                    # execution time rather than time spent queued behind
-                    # other tasks.
-                    nonlocal next_pos
-                    while next_pos < len(queue) and len(futures) < workers:
-                        index = queue[next_pos]
-                        next_pos += 1
-                        future = pool.submit(
-                            _run_task, generation, payloads[index]
+                for index in sorted(pending):
+                    future = pool.submit(_run_task, generation, payloads[index])
+                    futures[future] = index
+                    if ob.enabled:
+                        ob.event(
+                            "parallel.task_submit",
+                            index=index,
+                            attempt=attempts[index],
                         )
-                        futures[future] = index
-                        deadlines[future] = (
-                            (time.monotonic() + timeout)
-                            if timeout is not None
-                            else None
+                for future in as_completed(list(futures)):
+                    index = futures.pop(future)
+                    results[index] = future.result()
+                    pending.discard(index)
+                    if ob.enabled:
+                        ob.incr("parallel.tasks_completed")
+                        ob.event(
+                            "parallel.task_complete", index=index, mode="pool"
                         )
-                        if ob.enabled:
-                            ob.event(
-                                "parallel.task_submit",
-                                index=index,
-                                attempt=attempts[index],
-                            )
-
-                submit_up_to_capacity()
-                while futures:
-                    wait_for = None
-                    if timeout is not None:
-                        wait_for = max(
-                            0.0,
-                            min(deadlines[f] for f in futures)
-                            - time.monotonic(),
-                        )
-                    finished, _ = wait(
-                        set(futures),
-                        timeout=wait_for,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in finished:
-                        index = futures.pop(future)
-                        del deadlines[future]
-                        results[index] = future.result()
-                        pending.discard(index)
-                        if ob.enabled:
-                            ob.incr("parallel.tasks_completed")
-                            ob.event(
-                                "parallel.task_complete",
-                                index=index,
-                                mode="pool",
-                            )
-                        if on_result is not None:
-                            on_result(index, results[index])
-                    if timeout is not None and futures:
-                        now = time.monotonic()
-                        overdue = [f for f in futures if deadlines[f] <= now]
-                        if overdue:
-                            for future in overdue:
-                                index = futures[future]
-                                attempts[index] += 1
-                                if ob.enabled:
-                                    ob.incr("parallel.task_timeouts")
-                                    ob.event(
-                                        "parallel.task_timeout",
-                                        index=index,
-                                        attempts=attempts[index],
-                                        timeout=timeout,
-                                    )
-                                if attempts[index] > max_retries:
-                                    # The worker running this task may be
-                                    # genuinely hung; joining it would wedge
-                                    # the parent, so abandon the pool before
-                                    # the error propagates.
-                                    abandon = True
-                                    raise SimulationError(
-                                        f"task {index} exceeded its "
-                                        f"{timeout} s timeout on "
-                                        f"{attempts[index]} attempts; giving "
-                                        "up (it would hang serially too)"
-                                    )
-                            raise _PoolRestart
-                    submit_up_to_capacity()
-            except _PoolRestart:
-                # Overdue tasks re-enter `pending`; only here may workers be
-                # genuinely hung, so the pool is torn down without joining.
-                abandon = True
+                    if on_result is not None:
+                        on_result(index, results[index])
             except BrokenProcessPool:
                 broken = True
                 # A worker died; we cannot tell whose task killed it, so every
@@ -571,8 +444,8 @@ def _execute_resilient(
                 for index in pending:
                     attempts[index] += 1
             finally:
-                if abandon or broken:
-                    _discard_pool(abandon=abandon)
+                if broken:
+                    _discard_pool()
                 elif futures:
                     # A task or callback raised with others in flight: let
                     # them finish so the next call finds every worker idle.
@@ -609,15 +482,11 @@ def _run_sharded(engine, workers: int, merge, progress=None):
             progress(done_trials[0], total)
 
     tasks = [(engine, shard, seed) for shard, seed in zip(shards, seeds)]
-    try:
-        results = _execute_resilient(
+    return merge(
+        _execute_resilient(
             _run_shard, tasks, workers=workers, on_result=on_result
         )
-    except SimulationError:
-        raise
-    except (pickle.PicklingError, TypeError, AttributeError, ImportError) as exc:
-        raise _wrap_pickling_error(exc) from exc
-    return merge(results)
+    )
 
 
 def run_simulator_parallel(simulator, workers: int):
@@ -652,34 +521,19 @@ def run_fused_parallel(engine, workers: int):
     return _run_sharded(engine, workers, merge_fused_results)
 
 
-def _invoke(task) -> Any:
-    """Top-level trampoline so (fn, args, kwargs) tasks pickle cleanly."""
-    fn, args, kwargs = task
-    return fn(*args, **kwargs)
-
-
 def parallel_map(
-    fn: Callable[..., Any],
+    fn: Callable[[Any], Any],
     items: Sequence[Any],
     workers: int = 1,
-    kwargs_items: bool = False,
-    timeout: Optional[float] = None,
-    max_retries: int = 2,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """Ordered ``map(fn, items)`` over a process pool.
 
     Args:
-        fn: a picklable callable (module-level function or partial).
-        items: the inputs; each is passed as ``fn(item)``, or as
-            ``fn(**item)`` when ``kwargs_items`` is true.
+        fn: a picklable callable (module-level function or partial),
+            called as ``fn(item)``.
+        items: the inputs.
         workers: ``1`` runs inline (no pool, no pickling requirement).
-        kwargs_items: treat each item as a keyword-argument dict.
-        timeout: optional per-item running-time bound in seconds, queue
-            wait excluded (pool mode; the inline path runs items
-            unbounded, as plain calls would).
-        max_retries: pool rebuilds allowed per item before the serial
-            fallback (crashes) or a raised error (timeouts).
         on_result: optional ``(index, result)`` callback fired as each
             item completes (input order when inline, completion order on
             the pool) — the hook checkpointed sweeps persist through.
@@ -687,36 +541,20 @@ def parallel_map(
             call itself (that raises :class:`SimulationError`).
 
     Pooled calls run on the process-wide pool one at a time: a call from
-    a second thread waits for the first, and ``timeout`` does not count
-    that wait.
+    a second thread waits for the first.  Crashed workers are retried
+    (see the module docstring); an error raised by ``fn`` reaches the
+    caller with its own type at any ``workers``.
 
     Returns:
         Results in input order.
     """
     workers = _validate_workers(workers)
-    _validate_resilience(timeout, max_retries)
-    if kwargs_items:
-        tasks = [(fn, (), dict(item)) for item in items]
-    else:
-        tasks = [(fn, (item,), {}) for item in items]
+    tasks = [(item,) for item in items]
     if workers == 1 or len(tasks) <= 1:
         results = []
-        for index, task in enumerate(tasks):
-            result = _invoke(task)
-            results.append(result)
+        for index, (item,) in enumerate(tasks):
+            results.append(fn(item))
             if on_result is not None:
-                on_result(index, result)
+                on_result(index, results[index])
         return results
-    try:
-        return _execute_resilient(
-            _invoke,
-            [(task,) for task in tasks],
-            workers=workers,
-            timeout=timeout,
-            max_retries=max_retries,
-            on_result=on_result,
-        )
-    except SimulationError:
-        raise
-    except (pickle.PicklingError, TypeError, AttributeError, ImportError) as exc:
-        raise _wrap_pickling_error(exc) from exc
+    return _execute_resilient(fn, tasks, workers=workers, on_result=on_result)

@@ -33,8 +33,6 @@ from concurrent.futures import Executor, Future
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Optional
 
-from repro.parallel import _abandon_pool
-
 __all__ = [
     "Replica",
     "ReplicaCrashed",
@@ -48,6 +46,25 @@ __all__ = [
 STATE_STARTING = "starting"
 STATE_HEALTHY = "healthy"
 STATE_EVICTED = "evicted"
+
+
+def _abandon_pool(pool: Executor) -> None:
+    """Shut a pool down without waiting on possibly-hung workers.
+
+    ``shutdown(wait=True)`` would join workers that may never return; the
+    best-effort ``terminate`` ensures a hung worker cannot wedge the
+    event loop (or the interpreter's exit handler).
+    """
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # pragma: no cover - shutdown never raises in CPython
+        pass
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.terminate()
+        except Exception:  # pragma: no cover - already-dead worker
+            pass
 
 
 class ReplicaCrashed(Exception):

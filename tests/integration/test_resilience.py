@@ -1,12 +1,14 @@
 """Integration tests for crash-resilient execution and checkpointed sweeps.
 
-The two acceptance properties of the robustness work:
+The acceptance properties of the robustness work:
 
 * a worker process crashing mid-run is retried deterministically, so the
   merged :class:`SimulationResult` is bitwise identical to an
   uninterrupted run with the same seed;
 * a checkpointed grid sweep killed partway and resumed reproduces the
-  uninterrupted run's rows exactly.
+  uninterrupted run's rows exactly;
+* an error raised by a task's own code is not a crash: it reaches the
+  caller with its own type, pooled or not.
 """
 
 import functools
@@ -21,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.errors import SimulationError
 from repro.experiments.figures import fault_injection_experiment
 from repro.experiments.sweeps import grid_sweep
 from repro.parallel import _execute_resilient, parallel_map
@@ -125,36 +126,43 @@ class TestCrashRecovery:
         assert json.dumps(crashed) == json.dumps(clean)
         assert crashed_path.read_bytes() == clean_path.read_bytes()
 
-    def test_timeout_exhaustion_raises(self):
-        import time as time_module
 
-        start = time_module.monotonic()
-        with pytest.raises(SimulationError, match="timeout"):
-            parallel_map(
-                time_module.sleep,
-                [30.0, 30.0],
-                workers=2,
-                timeout=1.0,
-                max_retries=0,
+def _append_s(value):
+    """A task whose own code has a bug: ``int + str``."""
+    return value + "s"
+
+
+def _row_of_missing_attribute(a):
+    return {"a": a, "b": a.missing}
+
+
+def _bad_deployment(field, count, rng):
+    raise TypeError("deployment bug")
+
+
+class TestWorkerErrors:
+    """An error raised by a task's own code keeps its type at any
+    ``workers`` (only a task that cannot be pickled is reported as a
+    :class:`SimulationError`; see ``test_parallel.py``)."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel_map_keeps_the_type(self, workers):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            parallel_map(_append_s, [1, 2, 3], workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_sweep_keeps_the_type(self, workers):
+        with pytest.raises(AttributeError, match="missing"):
+            grid_sweep(
+                {"a": [1, 2, 3, 4]}, _row_of_missing_attribute, workers=workers
             )
-        # The error must propagate without joining the hung workers:
-        # anywhere near the 30 s sleep means the pool was waited on.
-        assert time_module.monotonic() - start < 15.0
 
-    def test_queue_wait_does_not_count_toward_timeout(self):
-        import time as time_module
-
-        # 12 half-second tasks on 2 workers: the last ones sit queued for
-        # ~2.5 s, beyond the 2 s timeout that each task individually
-        # satisfies with room to spare.  No task may be marked overdue.
-        results = parallel_map(
-            time_module.sleep,
-            [0.5] * 12,
-            workers=2,
-            timeout=2.0,
-            max_retries=0,
+    def test_simulator_shard_keeps_the_type(self, small):
+        simulator = MonteCarloSimulator(
+            small, trials=40, seed=1, deployment=_bad_deployment
         )
-        assert results == [None] * 12
+        with pytest.raises(TypeError, match="deployment bug"):
+            simulator.run(workers=2)
 
 
 def _crash_once_task(value, crash_file):

@@ -106,6 +106,22 @@ def stripe_head_areas(sensing_range: float, step: float) -> np.ndarray:
     return _integrate(sensing_range, step, ms + 2, head=True)[: ms + 2]
 
 
+def _eq6_lens(d: float, rs: float) -> float:
+    """Eq. (6)'s lens term ``2 Rs² acos(d/2Rs) − d sqrt(Rs² − (d/2)²)``.
+
+    Within 1e-4·Rs of tangency ``d/2Rs`` rounds to within an ulp of 1,
+    where ``acos`` and the square root lose half their digits; there both
+    are taken from the exact gap ``2Rs − d`` instead.
+    """
+    gap = 2.0 * rs - d
+    if gap < 1e-4 * rs:
+        root = math.sqrt(gap * (2.0 * rs + d)) / 2.0  # sqrt(Rs² − (d/2)²)
+        return 2.0 * rs * rs * math.atan2(2.0 * root, d) - d * root
+    return 2.0 * rs * rs * math.acos(d / (2.0 * rs)) - d * math.sqrt(
+        rs * rs - (d / 2.0) ** 2
+    )
+
+
 def area_h_literal(sensing_range: float, step_length: float, ms: int) -> np.ndarray:
     """``AreaH(i)`` computed exactly as written in the paper's Eq. (6)."""
     rs = sensing_range
@@ -115,16 +131,10 @@ def area_h_literal(sensing_range: float, step_length: float, ms: int) -> np.ndar
         if i == 1:
             areas[i] = 2.0 * rs * vt
         elif i < ms + 1:
-            d = (i - 1) * vt
-            lens = 2.0 * rs * rs * math.acos(d / (2.0 * rs)) - d * math.sqrt(
-                rs * rs - (d / 2.0) ** 2
-            )
+            lens = _eq6_lens((i - 1) * vt, rs)
             areas[i] = math.pi * rs * rs - lens - areas[2:i].sum()
         else:  # i == ms + 1
-            d = (i - 2) * vt
-            areas[i] = 2.0 * rs * rs * math.acos(d / (2.0 * rs)) - d * math.sqrt(
-                rs * rs - (d / 2.0) ** 2
-            )
+            areas[i] = _eq6_lens((i - 2) * vt, rs)
     # Same float hygiene as the closed form (see area_h_closed_form).
     return np.clip(areas, 0.0, None)
 

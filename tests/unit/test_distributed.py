@@ -493,18 +493,8 @@ class TestFleetLifecycle:
         _refuse_starts(monkeypatch)
         match = "timeout must be None or a finite number"
         with pytest.raises(SimulationError, match=match):
-            parallel_map(abs, [1, 2], workers=2, timeout=timeout)
-        with pytest.raises(SimulationError, match=match):
             distributed_sweep([{"x": 1}], DOUBLE_SPEC, timeout=timeout)
         with pytest.raises(SimulationError, match=match):
             distributed_grid_sweep(
                 small, {"num_sensors": [20]}, timeout=timeout
             )
-
-    @pytest.mark.parametrize("max_retries", [True, 1.5, "2", -1])
-    def test_hostile_max_retries_rejected_before_start(
-        self, monkeypatch, max_retries
-    ):
-        _refuse_starts(monkeypatch)
-        with pytest.raises(SimulationError, match="max_retries must be"):
-            parallel_map(abs, [1, 2], workers=2, max_retries=max_retries)

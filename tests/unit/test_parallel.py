@@ -217,10 +217,6 @@ def _square(value):
     return {"value": value, "square": value * value}
 
 
-def _affine(a, b):
-    return {"sum": a + b}
-
-
 class TestParallelMap:
     def test_ordered_results(self):
         assert parallel_map(_square, [3, 1, 2], workers=2) == [
@@ -228,15 +224,6 @@ class TestParallelMap:
             {"value": 1, "square": 1},
             {"value": 2, "square": 4},
         ]
-
-    def test_kwargs_items(self):
-        rows = parallel_map(
-            _affine,
-            [{"a": 1, "b": 2}, {"a": 3, "b": 4}],
-            workers=2,
-            kwargs_items=True,
-        )
-        assert rows == [{"sum": 3}, {"sum": 7}]
 
     def test_serial_path_allows_lambdas(self):
         assert parallel_map(lambda v: v + 1, [1, 2], workers=1) == [2, 3]
@@ -281,6 +268,14 @@ def _pool_pids(workers=2):
     return set(parallel_map(_pid, range(4 * workers), workers=workers))
 
 
+def _raise_on_item_2(item):
+    """A worker error from the task's own code, on the third item."""
+    if item == 2:
+        raise ValueError("item 2")
+    time.sleep(0.01)
+    return item
+
+
 def _cache_probe(item):
     """(worker pid, analysis-cache entries before this task adds one)."""
     entries = analysis_cache().stats()["entries"]
@@ -310,9 +305,9 @@ def _run_script(script):
     not os.path.isdir("/proc"), reason="reads process states from /proc"
 )
 class TestSharedPool:
-    """One worker pool per process: reused by every pooled call, rebuilt
-    after a crash or a timeout, never inherited by a forked child, and
-    joined when the interpreter exits."""
+    """One worker pool per process: reused by every pooled call (also
+    after a task raises), rebuilt after a crash, never inherited by a
+    forked child, and joined when the interpreter exits."""
 
     @pytest.fixture(autouse=True)
     def fresh_pool(self):
@@ -361,14 +356,18 @@ class TestSharedPool:
         after = _pool_pids()
         assert after and not after & before
 
-    def test_timeout_abandon_starts_a_fresh_pool(self):
-        before = _pool_pids()
-        with pytest.raises(SimulationError, match="timeout"):
-            parallel_map(
-                time.sleep, [30.0, 30.0], workers=2, timeout=0.3, max_retries=0
-            )
-        after = _pool_pids()
-        assert after and not after & before
+    def test_raising_task_leaves_the_pool_idle_and_kept(self):
+        _pool_pids()  # start the pool
+        pool = parallel._pool
+        workers = set(pool._processes)
+        with obs.instrument() as ob:
+            with pytest.raises(ValueError, match="item 2"):
+                parallel_map(_raise_on_item_2, range(12), workers=2)
+            # The next call runs on the same two workers.
+            assert _pool_pids() <= workers
+        assert parallel._pool is pool
+        assert set(pool._processes) == workers
+        assert ob.counters.get("parallel.pool_starts", 0) == 0
 
     def test_forked_child_runs_its_own_pool(self):
         parent_pids = _pool_pids()  # the child inherits a live pool
