@@ -36,6 +36,7 @@ from __future__ import annotations
 import queue
 import socket
 import threading
+import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError, SimulationError
@@ -250,6 +251,14 @@ class SweepCoordinator:
             connections = list(self._connections.values())
         for connection in connections:
             connection.close(drain=drain)
+        if drain and self._done.is_set():
+            # Every worker was sent `done` and hangs up, so each handler
+            # sees EOF and unwinds; wait for that so none outlives the
+            # sweep.  A handler still blocked in recv() is not woken by
+            # close(), hence only after a finished sweep, and bounded.
+            deadline = time.monotonic() + 5.0
+            for handler in self._threads:
+                handler.join(max(0.0, deadline - time.monotonic()))
 
     def abort(self) -> None:
         """Simulate a coordinator crash: drop everything, mid-word.

@@ -26,12 +26,13 @@ Checkpoint/resume
 Long sweeps can pass ``checkpoint="path.json"``: completed rows are
 written (atomically — temp file plus :func:`os.replace`) as they finish,
 keyed by their index in the sweep order — after every row at
-``workers=1``, after every shard on the pool.  Re-running the same
-sweep with the same checkpoint path skips the already-completed points
-and computes only the missing ones, so a killed sweep resumes where it
-stopped and still returns the exact row list the uninterrupted run would
-have produced.  The file carries a fingerprint of the sweep's points; a
-checkpoint from a *different* sweep raises
+``workers=1``, after every shard on the pool, and once for a batched
+analytical grid, whose rows all come from one kernel call.  Re-running
+the same sweep with the same checkpoint path skips the already-completed
+points and computes only the missing ones, so a killed sweep resumes
+where it stopped and still returns the exact row list the uninterrupted
+run would have produced.  The file carries a fingerprint of the sweep's
+points; a checkpoint from a *different* sweep raises
 :class:`~repro.errors.SimulationError` instead of silently mixing rows.
 Checkpoint rows round-trip through JSON, so ``compute`` must return
 JSON-serialisable rows (plain dicts of numbers/strings — which all the
@@ -50,8 +51,14 @@ Batched analytical sweeps
 scenario fields.  When every swept axis is in :data:`BATCHED_FIELDS`
 (``num_sensors`` and ``threshold`` — the axes the Eq. 12 chain can
 broadcast over), the whole grid is answered by one
-:func:`repro.core.batched.detection_probability_grid` call; any other
-axis (or ``batch=False``) runs per point (counted in the
+:func:`repro.core.batched.detection_probability_grid` call, and its rows
+are read off the returned table in one pass: each axis value is
+canonicalised once, the cells are walked in grid order, and each row is
+built with sorted keys, so no point dict, per-row JSON round trip or
+executor call is made.  Such a grid counts ``sweep.points`` and
+``sweep.points_completed`` but emits no per-row ``sweep.point`` span or
+``sweep.point_complete`` event: no point is evaluated on its own.  Any
+other axis (or ``batch=False``) runs per point (counted in the
 ``batch.fallbacks`` obs counter).  Every per-point row — serial, pooled
 or distributed — comes from
 :func:`repro.core.batched.point_detection_probability`, which evaluates
@@ -83,10 +90,14 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
+import math
 import os
 import tempfile
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -138,7 +149,13 @@ def canonical_row(row: Dict[str, Any]) -> Dict[str, Any]:
     Raises:
         TypeError: for a row JSON cannot represent.
     """
-    return json.loads(json.dumps(row, sort_keys=True, default=_json_default))
+    return _canonical_value(row)
+
+
+def _canonical_value(value: Any) -> Any:
+    """``value`` after the JSON round trip that :func:`canonical_row`
+    applies to a whole row."""
+    return json.loads(json.dumps(value, sort_keys=True, default=_json_default))
 
 
 def _points_fingerprint(points: Sequence[Any]) -> str:
@@ -172,6 +189,26 @@ def _load_checkpoint(path: str, fingerprint: str) -> Dict[int, Any]:
     return {int(index): row for index, row in completed.items()}
 
 
+def _resume(
+    points: Sequence[Any], checkpoint: str, ob: Any
+) -> Tuple[str, Dict[int, Any]]:
+    """The sweep's fingerprint and the canonical rows ``checkpoint``
+    already holds, counted as ``sweep.points_from_checkpoint``."""
+    fingerprint = _points_fingerprint(points)
+    completed = {
+        index: canonical_row(row)
+        for index, row in _load_checkpoint(checkpoint, fingerprint).items()
+    }
+    if ob.enabled and completed:
+        ob.incr("sweep.points_from_checkpoint", len(completed))
+        ob.event(
+            "sweep.resume",
+            checkpoint=checkpoint,
+            from_checkpoint=sorted(completed),
+        )
+    return fingerprint, completed
+
+
 def _write_checkpoint(
     path: str, fingerprint: str, completed: Dict[int, Any]
 ) -> None:
@@ -193,7 +230,9 @@ def _write_checkpoint(
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, default=_json_default)
+            # One json.dumps string: json.dump's chunked encoder is a
+            # self-referencing closure, a reference cycle per write.
+            handle.write(json.dumps(state, default=_json_default))
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -246,11 +285,13 @@ def _run_points(
 
     ``canonical=True`` (or any checkpointed run) passes every row
     through :func:`canonical_row` so all execution paths — fresh,
-    resumed, batched, distributed — return byte-identical row lists.
+    resumed, pooled, distributed — return byte-identical row lists.
 
     At ``workers > 1`` the missing points go to the pool as shards (see
     "Shard dispatch" in the module docstring), with one checkpoint write
     per shard; at ``workers=1`` they run inline, one write per row.
+    (Batched analytical grids do not come here: see
+    :func:`_batched_rows`.)
 
     Observability: with instrumentation active the engine counts every
     point (``sweep.points``), marks the ones served from a checkpoint
@@ -268,18 +309,7 @@ def _run_points(
         fingerprint = None
         completed: Dict[int, Any] = {}
     else:
-        fingerprint = _points_fingerprint(points)
-        completed = {
-            index: canonical_row(row)
-            for index, row in _load_checkpoint(checkpoint, fingerprint).items()
-        }
-        if ob.enabled and completed:
-            ob.incr("sweep.points_from_checkpoint", len(completed))
-            ob.event(
-                "sweep.resume",
-                checkpoint=checkpoint,
-                from_checkpoint=sorted(completed),
-            )
+        fingerprint, completed = _resume(points, checkpoint, ob)
     missing = [index for index in range(len(points)) if index not in completed]
     if not missing:
         return [completed[index] for index in range(len(points))]
@@ -317,8 +347,7 @@ def _run_points(
                     return compute(*args, **kwargs)
 
         # Only a checkpoint or instrumentation needs each row as it
-        # finishes.  Otherwise rows are canonicalised after the map:
-        # doing it between a large batched grid's lookups raised peak RSS.
+        # finishes; otherwise rows are canonicalised after the map.
         eager = checkpoint is not None or ob.enabled
         rows = parallel_map(
             (
@@ -393,20 +422,10 @@ def grid_sweep(
 def _grid_points(grids: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
     """Row-major cartesian points (first key slowest)."""
     names = list(grids)
-    points: List[Dict[str, Any]] = []
-
-    def recurse(index: int, bound: Dict[str, Any]) -> None:
-        if index == len(names):
-            points.append(dict(bound))
-            return
-        name = names[index]
-        for value in grids[name]:
-            bound[name] = value
-            recurse(index + 1, bound)
-        del bound[name]
-
-    recurse(0, {})
-    return points
+    return [
+        dict(zip(names, values))
+        for values in itertools.product(*(grids[name] for name in names))
+    ]
 
 
 def _check_grid_sweep(
@@ -446,6 +465,67 @@ def _cell_lookup(
             point.get("threshold", scenario.threshold),
         )
     ]
+
+
+def _batched_rows(
+    grids: Dict[str, Sequence[Any]],
+    table: np.ndarray,
+    checkpoint: Optional[str],
+) -> List[Dict[str, Any]]:
+    """The rows of a grid over :data:`BATCHED_FIELDS`, read off ``table``
+    (indexed ``(num_sensors, threshold)``) in one pass.
+
+    Row ``r`` is byte-identical to ``canonical_row({**point,
+    "detection_probability": float(table[i, j])})`` for the ``r``-th
+    :func:`_grid_points` point: each axis value is canonicalised once,
+    the axis indexes are walked in grid order (so duplicate values keep
+    their own cells), and keys are sorted.  With a checkpoint, rows it
+    already holds are kept, and the file is written once if any were
+    missing.
+    """
+    ob = obs.current()
+    names = list(grids)
+    axes = [
+        [_canonical_value(value) for value in grids[name]] for name in names
+    ]
+    size = math.prod(len(axis) for axis in axes)
+    if ob.enabled:
+        ob.incr("sweep.points", size)
+    fingerprint = None
+    completed: Dict[int, Any] = {}
+    if checkpoint is not None:
+        fingerprint, completed = _resume(_grid_points(grids), checkpoint, ob)
+    if len(completed) == size:
+        return [completed[index] for index in range(size)]
+    cells = table.tolist()
+    # Where each table coordinate sits in an index tuple: an axis the grid
+    # does not sweep is the table's only row or column, read through the
+    # trailing 0.
+    n_at, k_at = (
+        names.index(name) if name in grids else len(names)
+        for name in ("num_sensors", "threshold")
+    )
+    labels = [*names, "detection_probability"]
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys = [labels[slot] for slot in order]
+    rows = []
+    for flat, index in enumerate(
+        itertools.product(*(range(len(axis)) for axis in axes))
+    ):
+        row = completed.get(flat)
+        if row is None:
+            at = (*index, 0)
+            values = [axis[i] for axis, i in zip(axes, index)]
+            values.append(cells[at[n_at]][at[k_at]])
+            row = dict(zip(keys, [values[slot] for slot in order]))
+        rows.append(row)
+    if ob.enabled:
+        ob.incr("sweep.points_completed", size - len(completed))
+    if checkpoint is not None:
+        _write_checkpoint(checkpoint, fingerprint, dict(enumerate(rows)))
+        if ob.enabled:
+            ob.incr("sweep.checkpoint_writes")
+    return rows
 
 
 def _analytical_point(
@@ -515,42 +595,31 @@ def analytical_grid_sweep(
     """
     _check_grid_sweep(scenario, grids, workers)
     _require_flag("batch", batch, AnalysisError)
-    points = _grid_points(grids)
     if batch and all(name in BATCHED_FIELDS for name in grids):
         from repro.core.batched import detection_probability_grid
 
-        cell = _cell_lookup(
+        table = detection_probability_grid(
             scenario,
-            grids,
-            detection_probability_grid(
-                scenario,
-                num_sensors=grids.get("num_sensors"),
-                thresholds=grids.get("threshold"),
-                body_truncation=body_truncation,
-                head_truncation=head_truncation,
-                substeps=substeps,
-                normalize=normalize,
-            ),
+            num_sensors=grids.get("num_sensors"),
+            thresholds=grids.get("threshold"),
+            body_truncation=body_truncation,
+            head_truncation=head_truncation,
+            substeps=substeps,
+            normalize=normalize,
         )
-
-        def compute(**point: Any) -> Dict[str, Any]:
-            return {**point, "detection_probability": float(cell(point))}
-
-        # The grid is already evaluated; the closure is a table lookup,
-        # so pool workers would only add pickling failures.
-        workers = 1
-    else:
-        ob = obs.current()
-        if ob.enabled:
-            ob.incr("batch.fallbacks", len(points))
-        compute = functools.partial(
-            _analytical_point,
-            scenario,
-            body_truncation,
-            head_truncation,
-            substeps,
-            normalize,
-        )
+        return _batched_rows(grids, table, checkpoint)
+    points = _grid_points(grids)
+    ob = obs.current()
+    if ob.enabled:
+        ob.incr("batch.fallbacks", len(points))
+    compute = functools.partial(
+        _analytical_point,
+        scenario,
+        body_truncation,
+        head_truncation,
+        substeps,
+        normalize,
+    )
     return _run_points(
         points,
         compute,

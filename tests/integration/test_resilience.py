@@ -401,9 +401,13 @@ class TestFaultExperimentSmoke:
 class TestBatchedSweepResilience:
     def test_killed_batched_sweep_resumes_to_identical_rows(self, tmp_path):
         """Acceptance: a checkpointed *batched* analytical sweep killed
-        mid-write resumes to the uninterrupted run's rows — and, because
-        the two dispatch paths are byte-identical, may resume on either
-        path."""
+        during its one checkpoint write leaves the earlier file intact,
+        resumes to the uninterrupted run's rows — and, because the two
+        dispatch paths are byte-identical, may resume on either path.
+
+        The batched path computes every row in one kernel call and
+        writes once, so the partial file comes from a per-point run
+        killed two rows in."""
         checkpoint = tmp_path / "batched.json"
         script = textwrap.dedent(
             """
@@ -411,10 +415,13 @@ class TestBatchedSweepResilience:
             from repro.experiments import sweeps
             from repro.experiments.presets import small_scenario
 
+            batch = sys.argv[2] == "batched"
             original = sweeps._write_checkpoint
             state = {"writes": 0}
 
             def dying_write(path, fingerprint, completed):
+                if batch:
+                    os._exit(1)  # the "power cut", before the one write
                 original(path, fingerprint, completed)
                 state["writes"] += 1
                 if state["writes"] == 2:
@@ -425,6 +432,7 @@ class TestBatchedSweepResilience:
                 small_scenario(),
                 {"num_sensors": [20, 40], "threshold": [1, 2]},
                 checkpoint=sys.argv[1],
+                batch=batch,
             )
             """
         )
@@ -433,13 +441,17 @@ class TestBatchedSweepResilience:
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
             "PYTHONPATH", ""
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(checkpoint)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 1, proc.stderr
+        written = []
+        for path in ("per-point", "batched"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(checkpoint), path],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1, proc.stderr
+            written.append(checkpoint.read_bytes())
+        assert written[0] == written[1]  # the killed write left no trace
         survived = sorted(
             int(k)
             for k in json.loads(checkpoint.read_text())["completed"]
@@ -458,6 +470,7 @@ class TestBatchedSweepResilience:
         uninterrupted = analytical_grid_sweep(small_scenario(), grids)
         assert resumed == uninterrupted
         assert manifest["counters"]["sweep.points_from_checkpoint"] == 2
+        assert manifest["counters"]["sweep.checkpoint_writes"] == 1
         (resume_event,) = [
             e for e in ob.events if e["name"] == "sweep.resume"
         ]

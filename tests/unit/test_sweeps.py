@@ -452,3 +452,183 @@ class TestShardDispatch:
         # One pool task, and one checkpoint write, per shard.
         assert ob.counters["parallel.tasks"] == 4 * workers
         assert ob.counters["sweep.checkpoint_writes"] == 4 * workers
+
+
+class TestBatchedRows:
+    """The batched branch reads its rows off the kernel table in one pass;
+    rows, checkpoint bytes and counters must match the point-by-point
+    build (``tests/sweep_oracles.py``) and the per-point path."""
+
+    GRIDS = {
+        "n_by_k": {"num_sensors": [20, 30, 40, 60], "threshold": [1, 2, 5]},
+        "k_by_n": {"threshold": [4, 1, 2], "num_sensors": [60, 20]},
+        "n_only": {"num_sensors": [20, 40, 80]},
+        "k_only": {"threshold": [0, 3, 7]},
+        "duplicates": {"num_sensors": [40, 20, 40], "threshold": [2, 2, 1]},
+        "numpy_ints": {
+            "num_sensors": [np.int64(20), np.int64(50)],
+            "threshold": [np.int64(1), 3],
+        },
+        "scenario_default": {"num_sensors": [40], "threshold": [3]},
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GRIDS))
+    def test_rows_byte_identical_to_oracle(self, small, shape):
+        from tests.sweep_oracles import batched_rows_oracle
+
+        grids = self.GRIDS[shape]
+        rows = analytical_grid_sweep(small, grids)
+        assert json.dumps(rows) == json.dumps(batched_rows_oracle(small, grids))
+        assert all(
+            type(row[name]) is int for row in rows for name in grids
+        )
+
+    def test_options_reach_the_kernel(self, small):
+        from tests.sweep_oracles import batched_rows_oracle
+
+        grids = self.GRIDS["n_by_k"]
+        options = {"body_truncation": 2, "substeps": 2, "normalize": False}
+        rows = analytical_grid_sweep(small, grids, **options)
+        assert json.dumps(rows) == json.dumps(
+            batched_rows_oracle(small, grids, **options)
+        )
+
+    def test_counters_and_no_per_row_events(self, small):
+        from repro import obs
+
+        grids = self.GRIDS["n_by_k"]
+        with obs.instrument() as ob:
+            analytical_grid_sweep(small, grids)
+        assert ob.counters["sweep.points"] == 12
+        assert ob.counters["sweep.points_completed"] == 12
+        assert "sweep.checkpoint_writes" not in ob.counters
+        assert "batch.fallbacks" not in ob.counters
+        names = {e["name"] for e in ob.events} | {s["name"] for s in ob.spans}
+        assert not names & {"sweep.point", "sweep.point_complete"}
+
+    def _per_point_bytes(self, scenario, grids, path):
+        """The per-point path's checkpoint: the format's reference bytes."""
+        analytical_grid_sweep(
+            scenario, grids, batch=False, checkpoint=str(path)
+        )
+        return path.read_bytes()
+
+    def test_fresh_checkpoint_written_once(self, small, tmp_path):
+        from repro import obs
+
+        grids = self.GRIDS["k_by_n"]
+        path = tmp_path / "batched.json"
+        with obs.instrument() as ob:
+            rows = analytical_grid_sweep(small, grids, checkpoint=str(path))
+        assert rows == analytical_grid_sweep(small, grids)
+        assert path.read_bytes() == self._per_point_bytes(
+            small, grids, tmp_path / "per_point.json"
+        )
+        assert ob.counters["sweep.checkpoint_writes"] == 1
+        assert ob.counters["sweep.points_completed"] == 6
+        assert "sweep.points_from_checkpoint" not in ob.counters
+
+    def test_partial_resume_fills_the_rest_in_one_write(self, small, tmp_path):
+        from repro import obs
+
+        grids = self.GRIDS["duplicates"]
+        path = tmp_path / "ck.json"
+        fresh = analytical_grid_sweep(small, grids, checkpoint=str(path))
+        fresh_bytes = path.read_bytes()
+        state = json.loads(fresh_bytes)
+        state["completed"] = {
+            key: row
+            for key, row in state["completed"].items()
+            if key in ("0", "4", "8")
+        }
+        path.write_text(json.dumps(state))
+        with obs.instrument() as ob:
+            resumed = analytical_grid_sweep(small, grids, checkpoint=str(path))
+        assert json.dumps(resumed) == json.dumps(fresh)
+        assert path.read_bytes() == fresh_bytes
+        assert ob.counters["sweep.points"] == 9
+        assert ob.counters["sweep.points_from_checkpoint"] == 3
+        assert ob.counters["sweep.points_completed"] == 6
+        assert ob.counters["sweep.checkpoint_writes"] == 1
+        (resume,) = [e for e in ob.events if e["name"] == "sweep.resume"]
+        assert resume["from_checkpoint"] == [0, 4, 8]
+        assert "sweep.point_complete" not in {e["name"] for e in ob.events}
+
+    def test_full_resume_returns_the_file_untouched(self, small, tmp_path):
+        from repro import obs
+
+        grids = self.GRIDS["numpy_ints"]
+        path = tmp_path / "ck.json"
+        fresh = analytical_grid_sweep(small, grids, checkpoint=str(path))
+        fresh_bytes = path.read_bytes()
+        with obs.instrument() as ob:
+            resumed = analytical_grid_sweep(small, grids, checkpoint=str(path))
+        assert json.dumps(resumed) == json.dumps(fresh)
+        assert path.read_bytes() == fresh_bytes
+        assert ob.counters["sweep.points_from_checkpoint"] == 4
+        # Nothing was missing, so nothing is computed or rewritten, as on
+        # the per-point path.
+        assert "sweep.points_completed" not in ob.counters
+        assert "sweep.checkpoint_writes" not in ob.counters
+
+    def test_checkpoint_from_another_sweep_rejected(self, small, tmp_path):
+        path = tmp_path / "ck.json"
+        analytical_grid_sweep(
+            small, self.GRIDS["n_only"], checkpoint=str(path)
+        )
+        with pytest.raises(SimulationError, match="different sweep"):
+            analytical_grid_sweep(
+                small, self.GRIDS["k_only"], checkpoint=str(path)
+            )
+
+    def test_parallel_map_not_called(self, small, monkeypatch):
+        import repro.experiments.sweeps as sweeps
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batched grid reached the executor")
+
+        monkeypatch.setattr(sweeps, "parallel_map", refuse)
+        rows = analytical_grid_sweep(small, self.GRIDS["n_by_k"], workers=2)
+        assert len(rows) == 12
+
+
+def _no_cycles_left(call):
+    """Run ``call`` with the collector off; True when it left no cyclic
+    garbage behind."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """Grid sweeps free their point lists by reference counting: a cycle
+    would keep every point of a large grid alive until a full collection."""
+
+    def test_batched_grid(self, small):
+        grids = {"num_sensors": [20, 30, 40], "threshold": [1, 2]}
+        analytical_grid_sweep(small, grids)  # warm lazy imports and caches
+        assert _no_cycles_left(lambda: analytical_grid_sweep(small, grids))
+
+    def test_checkpointed_batched_grid(self, small, tmp_path):
+        grids = {"num_sensors": [20, 30, 40], "threshold": [1, 2]}
+        paths = iter(str(tmp_path / f"ck{i}.json") for i in range(2))
+        analytical_grid_sweep(small, grids, checkpoint=next(paths))
+        assert _no_cycles_left(
+            lambda: analytical_grid_sweep(small, grids, checkpoint=next(paths))
+        )
+
+    def test_per_point_grid(self, small):
+        grids = {"num_sensors": [20, 30], "target_speed": [4.0, 8.0]}
+        analytical_grid_sweep(small, grids)
+        assert _no_cycles_left(lambda: analytical_grid_sweep(small, grids))
+
+    def test_grid_sweep(self):
+        grids = {"a": [1, 2, 3], "b": [4, 5]}
+        grid_sweep(grids, _pair)
+        assert _no_cycles_left(lambda: grid_sweep(grids, _pair))
