@@ -79,8 +79,8 @@ def sweep_sensing_range() -> None:
 
 
 def main() -> None:
-    for sweep in (sweep_rule, sweep_speed, sweep_sensing_quality, sweep_sensing_range):
-        sweep()
+    for study in (sweep_rule, sweep_speed, sweep_sensing_quality, sweep_sensing_range):
+        study()
 
 
 if __name__ == "__main__":

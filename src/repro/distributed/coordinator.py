@@ -33,6 +33,7 @@ Counters (``MetricsTable("dist")``, mirrored into the obs manifest):
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import socket
 import threading
@@ -51,6 +52,18 @@ from repro.distributed import protocol
 from repro.distributed.leases import Directive, LeaseBook
 
 __all__ = ["SweepCoordinator"]
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down both ways, then close it (idempotent).
+
+    On Linux ``close()`` alone does not wake a thread blocked in
+    ``accept()`` or ``recv()`` on the socket; ``shutdown()`` does.
+    """
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):
+        sock.close()
 
 
 class _Connection:
@@ -92,19 +105,17 @@ class _Connection:
                 return
 
     def close(self, drain: bool = True) -> None:
-        """Stop the writer and close the socket.
+        """Stop the writer, then shut down and close the socket.
 
         ``drain=True`` (graceful) flushes already-queued frames first,
         bounded so a wedged peer cannot hang shutdown; ``drain=False``
         (abort) closes the socket out from under the writer, mid-frame.
+        A handler thread blocked in ``recv()`` on it reads EOF.
         """
         self._outbound.put(None)
         if drain:
             self._writer.join(5.0)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        _hang_up(self.sock)
 
 
 class SweepCoordinator:
@@ -149,6 +160,7 @@ class SweepCoordinator:
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._threads: List[threading.Thread] = []
+        self._accepted: List[socket.socket] = []
         self._done = threading.Event()
         self._closing = False
         self._aborted = False
@@ -235,29 +247,22 @@ class SweepCoordinator:
     def _close(self, drain: bool) -> None:
         self._closing = True
         if self._listener is not None:
-            # On Linux close() alone does not wake a thread blocked in
-            # accept(); shutdown() does, so the accept thread can exit.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _hang_up(self._listener)
         if self._accept_thread is not None:
             self._accept_thread.join(5.0)
         with self._lock:
             connections = list(self._connections.values())
         for connection in connections:
             connection.close(drain=drain)
-        if drain and self._done.is_set():
-            # Every worker was sent `done` and hangs up, so each handler
-            # sees EOF and unwinds; wait for that so none outlives the
-            # sweep.  A handler still blocked in recv() is not woken by
-            # close(), hence only after a finished sweep, and bounded.
-            deadline = time.monotonic() + 5.0
-            for handler in self._threads:
+        # Sockets accepted but not yet admitted (no `hello` read) belong
+        # to no connection; wake their handlers too.
+        for sock in self._accepted:
+            _hang_up(sock)
+        # Every handler now reads EOF and unwinds; wait for that so none
+        # outlives the coordinator, finished sweep or not.
+        deadline = time.monotonic() + 5.0
+        for handler in self._threads:
+            if handler is not threading.current_thread():
                 handler.join(max(0.0, deadline - time.monotonic()))
 
     def abort(self) -> None:
@@ -289,6 +294,7 @@ class SweepCoordinator:
                 name="dist-conn",
                 daemon=True,
             )
+            self._accepted.append(sock)
             handler.start()
             self._threads.append(handler)
 
@@ -331,10 +337,7 @@ class SweepCoordinator:
             if connection is not None:
                 connection.close()
             else:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                _hang_up(sock)
 
     @staticmethod
     def _read_frame(
@@ -427,6 +430,8 @@ class SweepCoordinator:
     def _merge(self, worker: str, index: int, row: Dict[str, Any]) -> None:
         """One arriving row: book, merge map, checkpoint, progress."""
         with self._lock:
+            if self._aborted:
+                return  # a crashed coordinator merges nothing more
             assert self._book is not None
             directives = self._book.result(worker, index)
             self._rows[index] = canonical_row(row)

@@ -70,33 +70,39 @@ def resolve_spec(spec: Dict[str, Any]) -> Callable[..., Dict[str, Any]]:
     * ``{"kind": "callable", "function": "module:attr", "fixed":
       {...}}`` — any importable function, partially applied.
 
+    The first two pass the spec's other fields by keyword to the sweeps
+    module's point function, which owns their names and defaults.
+
     Raises:
-        ProtocolError: on an unknown kind or unresolvable callable.
+        ProtocolError: (code ``spec``) on an unknown kind, a missing or
+            non-object ``scenario``, an option the point function does
+            not take, or an unresolvable callable.
+        ScenarioError: for a scenario object with missing or invalid
+            fields.
     """
     kind = spec.get("kind")
-    if kind == "analytical":
+    if kind in ("analytical", "simulated"):
         from repro.core.scenario import Scenario
 
-        scenario = Scenario.from_dict(spec["scenario"])
-        return functools.partial(
-            _analytical_point,
-            scenario,
-            spec.get("body_truncation", 3),
-            spec.get("head_truncation"),
-            spec.get("substeps", 1),
-            spec.get("normalize", True),
+        scenario = spec.get("scenario")
+        if not isinstance(scenario, dict):
+            raise ProtocolError(
+                f"{kind} spec needs a 'scenario' object, got {scenario!r}",
+                code="spec",
+            )
+        point_function = (
+            _analytical_point if kind == "analytical" else _simulated_point
         )
-    if kind == "simulated":
-        from repro.core.scenario import Scenario
-
-        scenario = Scenario.from_dict(spec["scenario"])
+        # The rest of the spec is the point function's keyword options.
+        options = dict(spec)
+        del options["kind"], options["scenario"]
+        unknown = sorted(set(options) - set(point_function.__kwdefaults__))
+        if unknown:
+            raise ProtocolError(
+                f"{kind} spec has unknown option(s) {unknown}", code="spec"
+            )
         return functools.partial(
-            _simulated_point,
-            scenario,
-            spec.get("trials", 10_000),
-            spec.get("seed"),
-            spec.get("boundary", "torus"),
-            spec.get("batch_size", 512),
+            point_function, Scenario.from_dict(scenario), **options
         )
     if kind == "callable":
         target = spec.get("function")

@@ -31,6 +31,7 @@ import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.errors import ReproError
 from repro.experiments import figures
 from repro.experiments.plotting import plot_record
 from repro.experiments.records import ExperimentRecord
@@ -341,6 +342,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 f"repro sweep: cannot reach coordinator {host}:{port}: {exc}",
                 file=sys.stderr,
             )
+            return 1
+        except ReproError as exc:
+            # A malformed welcome or spec, or a coordinator that vanished
+            # mid-sweep.
+            print(f"repro sweep: {exc}", file=sys.stderr)
             return 1
         print(f"worker finished: computed {computed} points")
         return 0

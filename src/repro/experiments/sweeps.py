@@ -17,8 +17,8 @@ is one pool task that computes its rows in order.  A sweep point often
 costs less than a pool round trip, so one task per point would make a
 pooled sweep slower than a serial one.  Each finished shard is expanded
 back into per-row results (one ``sweep.point_complete`` event per
-point), and a crashed shard is retried whole.  ``workers=1`` runs
-inline, row by row.
+point), and a crashed shard is retried whole.  ``workers=1`` runs the
+points in a plain loop in this process, row by row.
 
 Checkpoint/resume
 -----------------
@@ -27,7 +27,8 @@ Long sweeps can pass ``checkpoint="path.json"``: completed rows are
 written (atomically — temp file plus :func:`os.replace`) as they finish,
 keyed by their index in the sweep order — after every row at
 ``workers=1``, after every shard on the pool, and once for a batched
-analytical grid, whose rows all come from one kernel call.  Re-running
+analytical or fused simulated grid, whose rows all come from one table.
+A run that finds every row in the file writes nothing.  Re-running
 the same sweep with the same checkpoint path skips the already-completed
 points and computes only the missing ones, so a killed sweep resumes
 where it stopped and still returns the exact row list the uninterrupted
@@ -75,8 +76,12 @@ axis is in :data:`BATCHED_FIELDS`, the whole grid is answered by one
 :class:`repro.simulation.fused.FusedMonteCarloEngine` pass — one
 deployment at ``max(num_sensors)`` per trial, every smaller ``N`` read
 off the prefix under common random numbers, every ``k`` off the same
-per-trial totals.  Any other axis (or a scenario feature the fused
-engine does not model) falls back to one
+per-trial totals.  Its rows are read off the pass's detection-count
+table by the same one-pass builder as a batched analytical grid, so it
+counts ``sweep.points`` and ``sweep.points_completed``, writes a
+checkpoint once, and emits no per-row ``sweep.point`` span or
+``sweep.point_complete`` event.  Any other axis (or a scenario feature
+the fused engine does not model) falls back to one
 :class:`~repro.simulation.runner.MonteCarloSimulator` per point (counted
 in ``mc.fallbacks``; ``fused=False`` forces it).  Unlike the analytical
 sweep, the two dispatch paths are *not* byte-identical to each other —
@@ -259,13 +264,6 @@ def _compute_shard(
     return [compute(point) for point in points]
 
 
-def _call_with_kwargs(
-    compute: Callable[..., Dict[str, Any]], point: Dict[str, Any]
-) -> Dict[str, Any]:
-    """``compute(**point)``: one grid point's row."""
-    return compute(**point)
-
-
 def _shards(indexes: List[int], count: int) -> List[List[int]]:
     """``indexes`` cut into ``count`` contiguous runs whose lengths differ
     by at most one."""
@@ -289,9 +287,9 @@ def _run_points(
 
     At ``workers > 1`` the missing points go to the pool as shards (see
     "Shard dispatch" in the module docstring), with one checkpoint write
-    per shard; at ``workers=1`` they run inline, one write per row.
-    (Batched analytical grids do not come here: see
-    :func:`_batched_rows`.)
+    per shard; at ``workers=1`` they run in a plain loop, one write per
+    row.  (Batched analytical and fused simulated grids do not come
+    here: see :func:`_batched_rows`.)
 
     Observability: with instrumentation active the engine counts every
     point (``sweep.points``), marks the ones served from a checkpoint
@@ -337,33 +335,14 @@ def _run_points(
             on_result=lambda position, rows: finish(shards[position], rows),
         )
     else:
-        compute_fn = compute
-        if ob.enabled:
-            # Inline execution never pickles, so a closure wrapper is
-            # safe; pool workers reset to null instrumentation instead
-            # (the parent-side task events cover them).
-            def compute_fn(*args: Any, **kwargs: Any) -> Any:
-                with ob.span("sweep.point"):
-                    return compute(*args, **kwargs)
-
-        # Only a checkpoint or instrumentation needs each row as it
-        # finishes; otherwise rows are canonicalised after the map.
-        eager = checkpoint is not None or ob.enabled
-        rows = parallel_map(
-            (
-                functools.partial(_call_with_kwargs, compute_fn)
-                if kwargs_items
-                else compute_fn
-            ),
-            [points[index] for index in missing],
-            on_result=(
-                (lambda position, row: finish([missing[position]], [row]))
-                if eager
-                else None
-            ),
-        )
-        if not eager:
-            finish(missing, rows)
+        for index in missing:
+            point = points[index]
+            # Inline rows run in this process, so each gets a span; pool
+            # workers reset to null instrumentation instead (the parent's
+            # task events cover them).
+            with ob.span("sweep.point"):
+                row = compute(**point) if kwargs_items else compute(point)
+            finish([index], [row])
     return [completed[index] for index in range(len(points))]
 
 
@@ -449,38 +428,24 @@ def _require_flag(name: str, value: Any, error: type) -> None:
         raise error(f"{name} must be True or False, got {value!r}")
 
 
-def _cell_lookup(
-    scenario: Any, grids: Dict[str, Sequence[Any]], table: np.ndarray
-) -> Callable[[Dict[str, Any]], Any]:
-    """``point -> table[i, j]`` for a grid over :data:`BATCHED_FIELDS`,
-    where ``table`` is indexed ``(num_sensors, threshold)``."""
-    cells = {
-        (n, k): table[i, j]
-        for i, n in enumerate(grids.get("num_sensors", [scenario.num_sensors]))
-        for j, k in enumerate(grids.get("threshold", [scenario.threshold]))
-    }
-    return lambda point: cells[
-        (
-            point.get("num_sensors", scenario.num_sensors),
-            point.get("threshold", scenario.threshold),
-        )
-    ]
-
-
 def _batched_rows(
     grids: Dict[str, Sequence[Any]],
-    table: np.ndarray,
+    columns: Dict[str, List[List[Any]]],
     checkpoint: Optional[str],
 ) -> List[Dict[str, Any]]:
-    """The rows of a grid over :data:`BATCHED_FIELDS`, read off ``table``
-    (indexed ``(num_sensors, threshold)``) in one pass.
+    """The rows of a grid over :data:`BATCHED_FIELDS`, read off tables in
+    one pass.
 
-    Row ``r`` is byte-identical to ``canonical_row({**point,
-    "detection_probability": float(table[i, j])})`` for the ``r``-th
-    :func:`_grid_points` point: each axis value is canonicalised once,
-    the axis indexes are walked in grid order (so duplicate values keep
-    their own cells), and keys are sorted.  With a checkpoint, rows it
-    already holds are kept, and the file is written once if any were
+    ``columns`` maps each non-axis column to its table, whose ``[i][j]``
+    entry is the value at the ``i``-th ``num_sensors`` and ``j``-th
+    ``threshold`` (an axis the grid does not sweep has one entry, the
+    scenario's value).  Row ``r`` is byte-identical to
+    ``canonical_row({**point, name: table[i][j], ...})`` for the
+    ``r``-th :func:`_grid_points` point: each axis value is canonicalised
+    once, the axis indexes are walked in grid order (so duplicate values
+    keep their own cells), and keys are sorted.  Table entries must
+    already be canonical (plain Python numbers).  With a checkpoint, rows
+    it already holds are kept, and the file is written once if any were
     missing.
     """
     ob = obs.current()
@@ -497,7 +462,6 @@ def _batched_rows(
         fingerprint, completed = _resume(_grid_points(grids), checkpoint, ob)
     if len(completed) == size:
         return [completed[index] for index in range(size)]
-    cells = table.tolist()
     # Where each table coordinate sits in an index tuple: an axis the grid
     # does not sweep is the table's only row or column, read through the
     # trailing 0.
@@ -505,7 +469,8 @@ def _batched_rows(
         names.index(name) if name in grids else len(names)
         for name in ("num_sensors", "threshold")
     )
-    labels = [*names, "detection_probability"]
+    labels = [*names, *columns]
+    tables = list(columns.values())
     order = sorted(range(len(labels)), key=labels.__getitem__)
     keys = [labels[slot] for slot in order]
     rows = []
@@ -516,7 +481,8 @@ def _batched_rows(
         if row is None:
             at = (*index, 0)
             values = [axis[i] for axis, i in zip(axes, index)]
-            values.append(cells[at[n_at]][at[k_at]])
+            for table in tables:
+                values.append(table[at[n_at]][at[k_at]])
             row = dict(zip(keys, [values[slot] for slot in order]))
         rows.append(row)
     if ob.enabled:
@@ -530,17 +496,20 @@ def _batched_rows(
 
 def _analytical_point(
     scenario: Any,
-    body_truncation: int,
-    head_truncation: Optional[int],
-    substeps: int,
-    normalize: bool,
+    *,
+    body_truncation: int = 3,
+    head_truncation: Optional[int] = None,
+    substeps: int = 1,
+    normalize: bool = True,
     **point: Any,
 ) -> Dict[str, Any]:
     """One analytical sweep row, ``{**point, "detection_probability": p}``.
 
     Module-level (hence picklable for ``workers > 1``).  The value is
     :func:`repro.core.batched.point_detection_probability`, so per-point
-    rows are **bitwise** equal to the batched-grid rows.
+    rows are **bitwise** equal to the batched-grid rows.  The keyword
+    options and their defaults are the ones an ``analytical`` fleet spec
+    may carry (:func:`repro.distributed.worker.resolve_spec`).
     """
     from repro.core.batched import point_detection_probability
 
@@ -607,7 +576,9 @@ def analytical_grid_sweep(
             substeps=substeps,
             normalize=normalize,
         )
-        return _batched_rows(grids, table, checkpoint)
+        return _batched_rows(
+            grids, {"detection_probability": table.tolist()}, checkpoint
+        )
     points = _grid_points(grids)
     ob = obs.current()
     if ob.enabled:
@@ -615,10 +586,10 @@ def analytical_grid_sweep(
     compute = functools.partial(
         _analytical_point,
         scenario,
-        body_truncation,
-        head_truncation,
-        substeps,
-        normalize,
+        body_truncation=body_truncation,
+        head_truncation=head_truncation,
+        substeps=substeps,
+        normalize=normalize,
     )
     return _run_points(
         points,
@@ -630,23 +601,13 @@ def analytical_grid_sweep(
     )
 
 
-def _simulated_row(
-    point: Dict[str, Any], trials: int, detections: int
-) -> Dict[str, Any]:
-    return {
-        **point,
-        "trials": trials,
-        "detections": detections,
-        "detection_probability": detections / trials,
-    }
-
-
 def _simulated_point(
     scenario: Any,
-    trials: int,
-    seed: Optional[int],
-    boundary: str,
-    batch_size: int,
+    *,
+    trials: int = 10_000,
+    seed: Optional[int] = None,
+    boundary: str = "torus",
+    batch_size: int = 512,
     **point: Any,
 ) -> Dict[str, Any]:
     """One simulated sweep row (module-level, hence picklable).
@@ -655,7 +616,9 @@ def _simulated_point(
     common-random-numbers scheme that keeps rows deterministic without
     threading per-point seed material through the checkpoint format.
     ``threshold`` never reaches the simulator (report counts do not
-    depend on it); it is applied to the finished trial counts.
+    depend on it); it is applied to the finished trial counts.  The
+    keyword options and their defaults are the ones a ``simulated``
+    fleet spec may carry.
     """
     from repro.core.batched import resolve_point
     from repro.simulation.runner import MonteCarloSimulator
@@ -671,7 +634,12 @@ def _simulated_point(
     if threshold is None:
         threshold = target.threshold
     detections = int(np.count_nonzero(result.report_counts >= threshold))
-    return _simulated_row(point, trials, detections)
+    return {
+        **point,
+        "trials": trials,
+        "detections": detections,
+        "detection_probability": detections / trials,
+    }
 
 
 def simulated_grid_sweep(
@@ -717,11 +685,10 @@ def simulated_grid_sweep(
     """
     _check_grid_sweep(scenario, grids, workers)
     _require_flag("fused", fused, SimulationError)
-    points = _grid_points(grids)
     if fused and all(name in BATCHED_FIELDS for name in grids):
         from repro.simulation.fused import FusedMonteCarloEngine
 
-        result = FusedMonteCarloEngine(
+        table = FusedMonteCarloEngine(
             scenario,
             num_sensors=list(grids.get("num_sensors", [scenario.num_sensors])),
             thresholds=list(grids.get("threshold", [scenario.threshold])),
@@ -729,27 +696,25 @@ def simulated_grid_sweep(
             seed=seed,
             boundary=boundary,
             batch_size=batch_size,
-        ).run(workers=workers)
-        cell = _cell_lookup(scenario, grids, result.detections_grid())
-
-        def compute(**point: Any) -> Dict[str, Any]:
-            return _simulated_row(point, trials, int(cell(point)))
-
-        # The pass already ran (its trials possibly sharded over
-        # `workers`); the closure is a table lookup.
-        workers = 1
-    else:
-        ob = obs.current()
-        if ob.enabled:
-            ob.incr("mc.fallbacks", len(points))
-        compute = functools.partial(
-            _simulated_point,
-            scenario,
-            trials,
-            seed,
-            boundary,
-            batch_size,
-        )
+        ).run(workers=workers).detections_grid()
+        columns = {
+            "trials": np.full_like(table, trials).tolist(),
+            "detections": table.tolist(),
+            "detection_probability": (table / trials).tolist(),
+        }
+        return _batched_rows(grids, columns, checkpoint)
+    points = _grid_points(grids)
+    ob = obs.current()
+    if ob.enabled:
+        ob.incr("mc.fallbacks", len(points))
+    compute = functools.partial(
+        _simulated_point,
+        scenario,
+        trials=trials,
+        seed=seed,
+        boundary=boundary,
+        batch_size=batch_size,
+    )
     return _run_points(
         points,
         compute,

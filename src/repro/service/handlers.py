@@ -281,12 +281,12 @@ def compute_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
     from repro.simulation.runner import MonteCarloSimulator
 
     scenario = Scenario.from_dict(request["scenario"])
-    sweep = request.get("sweep")
-    if sweep is not None:
+    axis = request.get("sweep")
+    if axis is not None:
         from repro.simulation.fused import FusedMonteCarloEngine
 
-        parameter = sweep["parameter"]
-        values = list(sweep["values"])
+        parameter = axis["parameter"]
+        values = list(axis["values"])
         axes = {
             "num_sensors": [scenario.num_sensors],
             "thresholds": [scenario.threshold],
@@ -451,12 +451,12 @@ def approximate_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
     carry (fabricating error bars for numbers that were never sampled
     would be worse than omitting them).
     """
-    sweep = request.get("sweep")
-    if sweep is not None:
+    axis = request.get("sweep")
+    if axis is not None:
         return {
-            "parameter": sweep["parameter"],
+            "parameter": axis["parameter"],
             "rows": approximate_sweep(
-                {"scenario": request["scenario"], **sweep}
+                {"scenario": request["scenario"], **axis}
             )["rows"],
             "scenario": request["scenario"],
             "approximation": _APPROXIMATION_NOTE,

@@ -1,10 +1,14 @@
-"""Test tooling that no user path runs: trace reading and episode recording."""
+"""Test tooling that no user path runs: trace reading, episode recording
+and a one-connection fake sweep coordinator."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import Any, Dict, List, Optional, Union
+import socket
+import threading
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.streaming.recorder import StreamRecorder
 
@@ -57,3 +61,48 @@ def record_episode(
         for period, reports in episode.stream():
             recorder.write_period(period, list(reports))
     return recorder.close()
+
+
+@contextlib.contextmanager
+def fake_coordinator(
+    points: List[Dict[str, Any]], spec: Dict[str, Any]
+) -> Iterator[Tuple[str, int]]:
+    """A loopback coordinator that welcomes one worker, then hangs up.
+
+    It reads the worker's ``hello``, sends a ``welcome`` carrying
+    ``points`` (with their true fingerprint) and ``spec``, and closes
+    the connection: a worker that accepts the welcome sees the
+    coordinator vanish mid-sweep.  Yields the ``(host, port)`` to join.
+    """
+    from repro.distributed import protocol
+    from repro.experiments.sweeps import _points_fingerprint
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        try:
+            sock, _ = listener.accept()
+        except OSError:
+            return  # nobody joined
+        with sock:
+            hello = b""
+            while not hello.endswith(b"\n"):
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return
+                hello += chunk
+            sock.sendall(protocol.encode_frame(protocol.welcome_frame(
+                _points_fingerprint(points), points, spec)))
+            # Consume the worker's first request (or its hang-up), so
+            # the close below is a clean EOF rather than a reset.
+            sock.recv(65536)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)  # wakes an idle accept()
+        listener.close()
+        thread.join(5.0)

@@ -11,7 +11,7 @@ from repro.experiments.cli import (
     build_parser,
     main,
 )
-from tests.support import read_jsonl
+from tests.support import fake_coordinator, read_jsonl
 
 
 class TestParseGridAxes:
@@ -255,3 +255,25 @@ class TestSweepAddresses:
             f"repro sweep: cannot reach coordinator 127.0.0.1:{port}: "
         )
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "analytical"}, "needs a 'scenario' object"),
+            ({"kind": "quantum"}, "unknown spec kind"),
+        ],
+    )
+    def test_bad_welcome_exits_nonzero(self, spec, message, capsys):
+        with fake_coordinator([{"num_sensors": 20}], spec) as (host, port):
+            assert main(["sweep", "--connect", f"{host}:{port}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro sweep: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_vanished_coordinator_exits_nonzero(self, capsys):
+        # A valid welcome, then the coordinator hangs up without `done`.
+        spec = {"kind": "callable", "function": "builtins:dict"}
+        with fake_coordinator([{"x": 1}], spec) as (host, port):
+            assert main(["sweep", "--connect", f"{host}:{port}"]) == 1
+        err = capsys.readouterr().err
+        assert err == "repro sweep: coordinator closed the connection\n"

@@ -10,6 +10,7 @@ the fork).
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.errors import (
 from repro.experiments.sweeps import (
     _points_fingerprint,
     analytical_grid_sweep,
+    canonical_row,
     distributed_grid_sweep,
     simulated_grid_sweep,
 )
@@ -37,6 +39,7 @@ from repro import parallel
 from repro.parallel import parallel_map, split_trials
 from repro.simulation.fused import FusedMonteCarloEngine
 from repro.simulation.runner import MonteCarloSimulator
+from tests.support import fake_coordinator
 
 
 def double_point(**point):
@@ -47,6 +50,18 @@ def double_point(**point):
 DOUBLE_SPEC = {
     "kind": "callable",
     "function": "tests.unit.test_distributed:double_point",
+}
+
+
+def slow_point(**point):
+    """A point that outlasts a short fleet ``timeout``."""
+    time.sleep(0.25)
+    return {"x": point["x"]}
+
+
+SLOW_SPEC = {
+    "kind": "callable",
+    "function": "tests.unit.test_distributed:slow_point",
 }
 
 
@@ -233,6 +248,63 @@ class TestResolveSpec:
         spec = dict(DOUBLE_SPEC)
         fn = resolve_spec(spec)
         assert fn(x=4) == {"x": 4, "value": 8}
+
+    @pytest.mark.parametrize("kind", ["analytical", "simulated"])
+    @pytest.mark.parametrize("scenario", ["missing", None, [], "small", 3])
+    def test_scenario_must_be_an_object(self, kind, scenario):
+        spec = {"kind": kind}
+        if scenario != "missing":
+            spec["scenario"] = scenario
+        with pytest.raises(ProtocolError, match="'scenario' object") as info:
+            resolve_spec(spec)
+        assert info.value.code == "spec"
+
+    @pytest.mark.parametrize(
+        "kind, option",
+        [
+            ("analytical", "trials"),
+            ("analytical", "point"),
+            ("simulated", "normalize"),
+            ("simulated", "num_sensors"),
+        ],
+    )
+    def test_unknown_option_is_a_spec_error(self, small, kind, option):
+        spec = {"kind": kind, "scenario": small.to_dict(), option: 1}
+        with pytest.raises(ProtocolError, match="unknown option") as info:
+            resolve_spec(spec)
+        assert info.value.code == "spec"
+
+    def test_analytical_options_and_defaults(self, small):
+        grids = {"num_sensors": [20, 30], "target_speed": [6.0]}
+        options = {"body_truncation": 2, "substeps": 2, "normalize": False}
+        for spec_options in ({}, options):
+            point = resolve_spec(
+                {"kind": "analytical", "scenario": small.to_dict(),
+                 **spec_options}
+            )
+            rows = [canonical_row(point(num_sensors=n, target_speed=6.0))
+                    for n in (20, 30)]
+            assert rows == analytical_grid_sweep(
+                small, grids, batch=False, **spec_options
+            )
+
+    def test_simulated_options_reach_the_simulator(self, small):
+        options = {"trials": 30, "seed": 3, "batch_size": 8}
+        point = resolve_spec(
+            {"kind": "simulated", "scenario": small.to_dict(), **options}
+        )
+        row = canonical_row(point(num_sensors=30, threshold=2))
+        assert row == simulated_grid_sweep(
+            small, {"num_sensors": [30], "threshold": [2]}, fused=False,
+            **options,
+        )[0]
+
+    def test_worker_rejects_a_welcome_without_scenario(self):
+        with fake_coordinator([{"num_sensors": 20}],
+                              {"kind": "analytical"}) as (host, port):
+            with pytest.raises(ProtocolError, match="'scenario'") as info:
+                run_worker(host, port, name="w")
+        assert info.value.code == "spec"
 
 
 def _quiet_worker(host, port, **kwargs):
@@ -437,6 +509,51 @@ class TestFleetLifecycle:
         )
         assert len(rows) == 2
         assert [t.name for t in _new_threads(before)] == []
+
+    def test_timed_out_sweep_leaves_no_connection_thread(self):
+        # Two workers each stuck in a 0.25 s point when the timeout hits:
+        # their handlers are blocked in recv() and must still be gone
+        # once distributed_sweep raises.
+        before = threading.enumerate()
+        points = [{"x": x} for x in range(40)]
+        with pytest.raises(SimulationError, match="did not complete"):
+            distributed_sweep(points, SLOW_SPEC, workers=2, timeout=1.0)
+        assert [
+            t.name for t in _new_threads(before) if t.name.startswith("dist-")
+        ] == []
+
+    @pytest.mark.parametrize("stop", ["close", "abort"])
+    @pytest.mark.parametrize("admitted", [True, False])
+    def test_stop_wakes_the_handler_of_a_connected_worker(
+        self, stop, admitted
+    ):
+        before = threading.enumerate()
+        coordinator = SweepCoordinator([{"x": 1}], DOUBLE_SPEC).start()
+        with socket.create_connection(coordinator.address) as client:
+            reader = client.makefile("rb")
+            if admitted:
+                client.sendall(
+                    protocol.encode_frame(protocol.hello_frame("idle"))
+                )
+                assert json.loads(reader.readline())["type"] == "welcome"
+            else:
+                deadline = time.monotonic() + 5.0
+                while "dist-conn" not in [
+                    t.name for t in _new_threads(before)
+                ]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            started = time.monotonic()
+            getattr(coordinator, stop)()
+            assert time.monotonic() - started < 2.0
+            assert [
+                t.name
+                for t in _new_threads(before)
+                if t.name in ("dist-conn", "dist-accept")
+            ] == []
+            # The still-connected worker sees the connection end, with
+            # no `done` frame before it.
+            assert reader.readline() == b""
 
     def test_failed_start_tears_the_fleet_down(self, monkeypatch):
         class NoSpawnContext:

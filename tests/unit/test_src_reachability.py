@@ -42,6 +42,11 @@ KEPT: Dict[str, str] = {
         "CI fault-smoke 'Forced worker crash recovers bitwise + checkpoint "
         "resume' step (tests/integration/test_resilience.py)"
     ),
+    "sweep": (
+        "CI distributed-smoke 'Distributed chaos acceptance' step: "
+        "tests/integration/test_distributed_acceptance.py builds its serial "
+        "reference with sweeps.sweep() and runs unedited"
+    ),
 }
 
 

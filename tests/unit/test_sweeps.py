@@ -592,6 +592,129 @@ class TestBatchedRows:
         assert len(rows) == 12
 
 
+def _oracle_checkpoint(path, grids, rows):
+    """The checkpoint bytes a sweep over ``grids`` leaves once it holds
+    ``rows``: every row, keyed by its row-major index."""
+    import itertools
+
+    from repro.experiments.sweeps import _points_fingerprint, _write_checkpoint
+
+    names = list(grids)
+    points = [
+        dict(zip(names, values))
+        for values in itertools.product(*(grids[name] for name in names))
+    ]
+    _write_checkpoint(
+        str(path), _points_fingerprint(points), dict(enumerate(rows))
+    )
+    return path.read_bytes()
+
+
+class TestFusedRows:
+    """The fused branch reads its rows off the pass's detection-count
+    table with the batched branch's one-pass builder; rows and checkpoint
+    bytes must match the cell-by-value lookup it used to run per row
+    (``tests/sweep_oracles.py``)."""
+
+    TRIALS = 60
+    SEED = 11
+
+    def _sweep(self, scenario, grids, **kwargs):
+        return simulated_grid_sweep(
+            scenario, grids, trials=self.TRIALS, seed=self.SEED, **kwargs
+        )
+
+    def _oracle(self, scenario, grids, **kwargs):
+        from tests.sweep_oracles import fused_rows_oracle
+
+        return fused_rows_oracle(
+            scenario, grids, self.TRIALS, seed=self.SEED, **kwargs
+        )
+
+    @pytest.mark.parametrize("shape", sorted(TestBatchedRows.GRIDS))
+    def test_rows_byte_identical_to_oracle(self, small, shape):
+        grids = TestBatchedRows.GRIDS[shape]
+        rows = self._sweep(small, grids)
+        assert json.dumps(rows) == json.dumps(self._oracle(small, grids))
+        assert all(
+            type(row[name]) is int
+            for row in rows
+            for name in (*grids, "trials", "detections")
+        )
+
+    def test_sharded_pass_rows_match_oracle(self, small):
+        grids = TestBatchedRows.GRIDS["k_by_n"]
+        rows = self._sweep(small, grids, workers=2, batch_size=16)
+        assert json.dumps(rows) == json.dumps(
+            self._oracle(small, grids, workers=2, batch_size=16)
+        )
+
+    def test_numpy_trials_canonicalised(self, small):
+        grids = TestBatchedRows.GRIDS["n_by_k"]
+        rows = simulated_grid_sweep(
+            small, grids, trials=np.int64(self.TRIALS), seed=self.SEED
+        )
+        assert json.dumps(rows) == json.dumps(self._oracle(small, grids))
+
+    def test_fresh_checkpoint_written_once(self, small, tmp_path):
+        from repro import obs
+
+        grids = TestBatchedRows.GRIDS["n_by_k"]
+        path = tmp_path / "ck.json"
+        with obs.instrument() as ob:
+            rows = self._sweep(small, grids, checkpoint=str(path))
+        oracle = self._oracle(small, grids)
+        assert json.dumps(rows) == json.dumps(oracle)
+        assert path.read_bytes() == _oracle_checkpoint(
+            tmp_path / "oracle.json", grids, oracle
+        )
+        assert ob.counters["sweep.points"] == 12
+        assert ob.counters["sweep.points_completed"] == 12
+        assert ob.counters["sweep.checkpoint_writes"] == 1
+        assert "mc.fallbacks" not in ob.counters
+        names = {e["name"] for e in ob.events} | {s["name"] for s in ob.spans}
+        assert not names & {"sweep.point", "sweep.point_complete"}
+
+    def test_partial_resume_fills_the_rest_in_one_write(self, small, tmp_path):
+        from repro import obs
+
+        grids = TestBatchedRows.GRIDS["duplicates"]
+        oracle = self._oracle(small, grids)
+        oracle_bytes = _oracle_checkpoint(tmp_path / "oracle.json", grids, oracle)
+        state = json.loads(oracle_bytes)
+        state["completed"] = {
+            key: row
+            for key, row in state["completed"].items()
+            if key in ("1", "5", "6")
+        }
+        path = tmp_path / "ck.json"
+        path.write_text(json.dumps(state))
+        with obs.instrument() as ob:
+            rows = self._sweep(small, grids, checkpoint=str(path))
+        assert json.dumps(rows) == json.dumps(oracle)
+        assert path.read_bytes() == oracle_bytes
+        assert ob.counters["sweep.points_from_checkpoint"] == 3
+        assert ob.counters["sweep.points_completed"] == 6
+        assert ob.counters["sweep.checkpoint_writes"] == 1
+        (resume,) = [e for e in ob.events if e["name"] == "sweep.resume"]
+        assert resume["from_checkpoint"] == [1, 5, 6]
+
+    def test_full_resume_returns_the_file_untouched(self, small, tmp_path):
+        from repro import obs
+
+        grids = TestBatchedRows.GRIDS["numpy_ints"]
+        oracle = self._oracle(small, grids)
+        path = tmp_path / "ck.json"
+        oracle_bytes = _oracle_checkpoint(path, grids, oracle)
+        with obs.instrument() as ob:
+            rows = self._sweep(small, grids, checkpoint=str(path))
+        assert json.dumps(rows) == json.dumps(oracle)
+        assert path.read_bytes() == oracle_bytes
+        assert ob.counters["sweep.points_from_checkpoint"] == 4
+        assert "sweep.points_completed" not in ob.counters
+        assert "sweep.checkpoint_writes" not in ob.counters
+
+
 def _no_cycles_left(call):
     """Run ``call`` with the collector off; True when it left no cyclic
     garbage behind."""
@@ -632,3 +755,22 @@ class TestNoReferenceCycles:
         grids = {"a": [1, 2, 3], "b": [4, 5]}
         grid_sweep(grids, _pair)
         assert _no_cycles_left(lambda: grid_sweep(grids, _pair))
+
+    def test_fused_grid(self, small):
+        grids = {"num_sensors": [20, 30, 40], "threshold": [1, 2]}
+        simulated_grid_sweep(small, grids, trials=20, seed=1)
+        assert _no_cycles_left(
+            lambda: simulated_grid_sweep(small, grids, trials=20, seed=1)
+        )
+
+    def test_checkpointed_fused_grid(self, small, tmp_path):
+        grids = {"num_sensors": [20, 30, 40], "threshold": [1, 2]}
+        paths = iter(str(tmp_path / f"ck{i}.json") for i in range(2))
+        simulated_grid_sweep(
+            small, grids, trials=20, seed=1, checkpoint=next(paths)
+        )
+        assert _no_cycles_left(
+            lambda: simulated_grid_sweep(
+                small, grids, trials=20, seed=1, checkpoint=next(paths)
+            )
+        )
