@@ -119,11 +119,6 @@ class LeaseBook:
         """Indexes completed so far (copy)."""
         return set(self._completed)
 
-    @property
-    def outstanding(self) -> int:
-        """Points not yet completed."""
-        return self._total - len(self._completed)
-
     def pending(self, worker: str) -> List[int]:
         """Indexes ``worker`` owns and has not completed (copy)."""
         return list(self._leases.get(worker, []))

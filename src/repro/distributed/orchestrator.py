@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 from repro.distributed.coordinator import SweepCoordinator
-from repro.distributed.worker import worker_main
+from repro.distributed.worker import resolve_spec, worker_main
 from repro.parallel import _validate_workers
 
 __all__ = ["LocalFleet", "distributed_sweep"]
@@ -46,6 +46,11 @@ class LocalFleet:
             port.
         on_progress: optional ``callback(completed, total)`` per merged
             row — the chaos harness trigger.
+
+    Raises:
+        ProtocolError: (code ``spec``) for a spec that
+            :func:`~repro.distributed.worker.resolve_spec` rejects,
+            before any thread or process starts.
     """
 
     def __init__(
@@ -59,6 +64,8 @@ class LocalFleet:
         on_progress: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         _validate_workers(workers)
+        # A spec no worker could resolve fails here, not as N worker exits.
+        resolve_spec(spec)
         self.coordinator = SweepCoordinator(
             points,
             spec,
@@ -74,11 +81,6 @@ class LocalFleet:
     def metrics(self):
         """The coordinator's ``dist.*`` metrics table."""
         return self.coordinator.metrics
-
-    @property
-    def worker_pids(self) -> List[int]:
-        """PIDs of the spawned workers (valid after :meth:`start`)."""
-        return [process.pid for process in self._processes]
 
     def start(self) -> "LocalFleet":
         """Start the coordinator and spawn the worker processes."""

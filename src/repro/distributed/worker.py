@@ -288,10 +288,13 @@ def worker_main(host: str, port: int, name: str) -> None:
 
     Module-level (hence picklable under the ``spawn`` start method).
     Exits 0 on a clean ``done``; a vanished coordinator exits 3 so the
-    fleet can tell a coordinator crash from a worker bug.
+    fleet can tell a coordinator crash from a worker bug, and a spec
+    this worker cannot resolve exits 5.
     """
     try:
         run_worker(host, port, name)
+    except ProtocolError as exc:
+        raise SystemExit(5 if exc.code == "spec" else 3)
     except (StreamError, OSError):
         raise SystemExit(3)
     except SimulationError:

@@ -21,9 +21,8 @@ compute pool — with the orchestration layer on top:
   shard; membership changes remap ~1/N of keys);
 * :mod:`repro.service.supervisor` + :mod:`repro.service.replica` — the
   supervised replica fleet: process-backed pools, heartbeat
-  monitoring, eviction + backoff restart, per-request deadline
-  budgets, per-replica circuit breakers
-  (:mod:`repro.service.resilience`);
+  monitoring, eviction on the first fault + backoff restart,
+  per-request deadline budgets (:mod:`repro.service.resilience`);
 * :mod:`repro.service.server` — orchestration: bounded admission
   (503 + jittered ``Retry-After`` under saturation), graceful
   degradation (stale cache / analytical approximation flagged
@@ -54,11 +53,7 @@ from repro.service.cache_policy import (
 )
 from repro.service.coalescer import RequestCoalescer
 from repro.service.handlers import ENDPOINTS, Endpoint, RequestError
-from repro.service.resilience import (
-    CircuitBreaker,
-    DeadlineBudget,
-    RetryBackoff,
-)
+from repro.service.resilience import DeadlineBudget, RetryBackoff
 from repro.service.router import ConsistentHashRouter
 from repro.service.server import AnalysisService, ServiceConfig, run_service
 from repro.service.supervisor import (
@@ -71,7 +66,6 @@ from repro.service.supervisor import (
 
 __all__ = [
     "AnalysisService",
-    "CircuitBreaker",
     "ConsistentHashRouter",
     "DEFAULT_CACHE_ENTRIES",
     "DEFAULT_CACHE_TTL",

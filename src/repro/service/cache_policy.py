@@ -82,7 +82,6 @@ def build_response_cache(
     max_entries: int = DEFAULT_CACHE_ENTRIES,
     ttl: Optional[float] = DEFAULT_CACHE_TTL,
     clock=None,
-    stale_grace: Optional[float] = DEFAULT_STALE_GRACE,
 ) -> AnalysisCache:
     """A bounded LRU+TTL store for response bodies.
 
@@ -90,10 +89,11 @@ def build_response_cache(
         max_entries: LRU bound (>= 1).
         ttl: optional seconds-to-live per entry.
         clock: injectable monotonic time source (tests).
-        stale_grace: how long past ``ttl`` an expired response stays
-            recoverable for degraded serving
-            (:meth:`repro.cache.AnalysisCache.lookup_stale`); the
-            default keeps it until LRU pressure evicts it.
+
+    Expired responses stay recoverable for degraded serving
+    (:meth:`repro.cache.AnalysisCache.lookup_stale`) for
+    :data:`DEFAULT_STALE_GRACE` past ``ttl``, that is until LRU pressure
+    evicts them.
     """
     kwargs: Dict[str, Any] = {}
     if clock is not None:
@@ -102,6 +102,6 @@ def build_response_cache(
         max_entries=max_entries,
         ttl=ttl,
         obs_prefix="service.cache",
-        stale_grace=stale_grace,
+        stale_grace=DEFAULT_STALE_GRACE,
         **kwargs,
     )

@@ -47,10 +47,6 @@ class RequestCoalescer:
         """Number of distinct computations currently in flight."""
         return len(self._inflight)
 
-    def is_inflight(self, key: str) -> bool:
-        """Whether ``key`` currently has a live computation."""
-        return key in self._inflight
-
     async def run(
         self, key: str, compute: Callable[[], Awaitable[Any]]
     ) -> Tuple[Any, bool]:

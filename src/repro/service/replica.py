@@ -127,7 +127,6 @@ class Replica:
         self.pool: Executor = executor_factory()
         self.state = STATE_STARTING
         self.inflight = 0
-        self.consecutive_failures = 0
         self.overruns = 0
         self.last_heartbeat = clock()
         self._evicted = asyncio.Event()
@@ -146,13 +145,8 @@ class Replica:
         return self._clock() - self.last_heartbeat
 
     def mark_alive(self) -> None:
-        """Record proof of life: refresh heartbeat, clear failure streak."""
+        """Record proof of life: refresh the heartbeat."""
         self.last_heartbeat = self._clock()
-        self.consecutive_failures = 0
-
-    def mark_failure(self) -> None:
-        """Record one failed task against the replica's streak."""
-        self.consecutive_failures += 1
 
     # -- task execution ------------------------------------------------
 

@@ -1,6 +1,6 @@
-"""Per-request resilience policy: deadlines, retries, circuit breakers.
+"""Per-request resilience policy: deadlines and retries.
 
-Three small, independently testable pieces that the supervisor composes
+Two small, independently testable pieces that the supervisor composes
 around every compute attempt:
 
 * :class:`DeadlineBudget` — one wall-clock budget per *request*, spent
@@ -12,28 +12,19 @@ around every compute attempt:
   attempts.  Deterministic given its seed (the fleet seed), mirroring
   the discipline of :mod:`repro.faults`: two runs of the same chaos
   script make the same scheduling decisions.
-* :class:`CircuitBreaker` — per-replica failure accounting.  After
-  ``failure_threshold`` consecutive failures the breaker opens and the
-  router skips the replica; after ``cooldown`` seconds it half-opens,
-  letting exactly one probe request through.  Success closes it,
-  failure re-opens it for another cooldown.
+
+There is no per-replica failure accounting here: the supervisor evicts
+a replica on its first fault, so a replica is either routable or gone.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "CircuitBreaker",
-    "DeadlineBudget",
-    "RetryBackoff",
-    "BREAKER_CLOSED",
-    "BREAKER_OPEN",
-    "BREAKER_HALF_OPEN",
-]
+__all__ = ["DeadlineBudget", "RetryBackoff"]
 
 
 class DeadlineBudget:
@@ -89,93 +80,3 @@ class RetryBackoff:
         raw = min(self.cap, self.base * (2.0 ** max(0, attempt)))
         return raw * float(self._rng.uniform(0.5, 1.0))
 
-
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half-open"
-
-
-class CircuitBreaker:
-    """Consecutive-failure breaker with a half-open probe state.
-
-    State machine::
-
-        closed --(threshold consecutive failures)--> open
-        open --(cooldown elapses)--> half-open
-        half-open --(probe succeeds)--> closed
-        half-open --(probe fails)--> open
-
-    Args:
-        failure_threshold: consecutive failures that open the breaker.
-        cooldown: seconds an open breaker waits before half-opening.
-        clock: monotonic time source (injectable for tests).
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {cooldown}")
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self._clock = clock
-        self._failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-
-    @property
-    def state(self) -> str:
-        """Current breaker state (cooldown expiry observed lazily)."""
-        if self._opened_at is None:
-            return BREAKER_CLOSED
-        if self._probing:
-            return BREAKER_HALF_OPEN
-        if self._clock() - self._opened_at >= self.cooldown:
-            return BREAKER_HALF_OPEN
-        return BREAKER_OPEN
-
-    def allow(self) -> bool:
-        """Whether a request may be sent through the breaker right now.
-
-        In the half-open state the first ``allow()`` claims the single
-        probe slot; subsequent calls return ``False`` until the probe's
-        outcome is recorded.
-        """
-        state = self.state
-        if state == BREAKER_CLOSED:
-            return True
-        if state == BREAKER_OPEN:
-            return False
-        if self._probing:
-            return False
-        self._probing = True
-        return True
-
-    def record_success(self) -> None:
-        """Note a successful request: closes the breaker, resets counts."""
-        self._failures = 0
-        self._opened_at = None
-        self._probing = False
-
-    def record_failure(self) -> None:
-        """Note a failed request: may open (or re-open) the breaker."""
-        if self._opened_at is not None:
-            # Failed while open/half-open: restart the cooldown window.
-            self._opened_at = self._clock()
-            self._probing = False
-            return
-        self._failures += 1
-        if self._failures >= self.failure_threshold:
-            self._opened_at = self._clock()
-            self._probing = False
-
-    def reset(self) -> None:
-        """Return to a fresh closed state (used when a replica restarts)."""
-        self.record_success()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Container, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 __all__ = ["ConsistentHashRouter", "DEFAULT_VNODES"]
 
@@ -45,32 +45,20 @@ def _ring_point(label: str) -> int:
 class ConsistentHashRouter:
     """A hash ring mapping fingerprint keys to member ids.
 
-    Args:
-        members: initial member ids (e.g. ``["r0", "r1", ...]``);
-            duplicates are rejected.
-        vnodes: ring points per member (>= 1).
+    Starts empty; members join with :meth:`add` (duplicates are
+    rejected), each at :data:`DEFAULT_VNODES` ring points.
     """
 
-    def __init__(self, members: Iterable[str] = (), vnodes: int = DEFAULT_VNODES):
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self._vnodes = vnodes
+    def __init__(self) -> None:
         self._members: set = set()
         # Sorted, parallel: ring point -> owning member.
         self._points: List[int] = []
         self._owners: List[str] = []
-        for member in members:
-            self.add(member)
 
     @property
     def members(self) -> frozenset:
         """The current member set."""
         return frozenset(self._members)
-
-    @property
-    def vnodes(self) -> int:
-        """Ring points per member."""
-        return self._vnodes
 
     def __len__(self) -> int:
         return len(self._members)
@@ -79,7 +67,7 @@ class ConsistentHashRouter:
         return member in self._members
 
     def add(self, member: str) -> None:
-        """Insert ``member`` at its ``vnodes`` ring points.
+        """Insert ``member`` at its :data:`DEFAULT_VNODES` ring points.
 
         A member's points depend only on its id, so remove + add is an
         exact inverse: the ring (and every key's owner) is restored.
@@ -87,7 +75,7 @@ class ConsistentHashRouter:
         if member in self._members:
             raise ValueError(f"member {member!r} is already on the ring")
         self._members.add(member)
-        for index in range(self._vnodes):
+        for index in range(DEFAULT_VNODES):
             point = _ring_point(f"{member}#{index}")
             at = bisect.bisect(self._points, point)
             self._points.insert(at, point)
@@ -116,33 +104,6 @@ class ConsistentHashRouter:
         if owner is None:
             raise LookupError("cannot route on an empty ring")
         return owner
-
-    def route_healthy(
-        self,
-        key: str,
-        healthy: Container[str],
-        exclude: Container[str] = (),
-    ) -> Optional[str]:
-        """The first member in ``key``'s preference order that is healthy.
-
-        Walking the ring clockwise past sick members is what makes
-        failover *minimal*: keys owned by healthy replicas keep their
-        owner, and a sick replica's keys spill deterministically onto
-        its ring successors (coming back restores them exactly).
-
-        Args:
-            key: the request fingerprint.
-            healthy: members currently able to take requests.
-            exclude: members to skip even if healthy (e.g. already tried
-                by this request's retry loop).
-
-        Returns:
-            A member id, or ``None`` when no routable member remains.
-        """
-        for member in self.preference(key):
-            if member in healthy and member not in exclude:
-                return member
-        return None
 
     def preference(self, key: str) -> Iterator[str]:
         """Distinct members in ring order starting at ``key``'s point.

@@ -10,9 +10,8 @@ built from three seams:
   warm caches work per shard with minimal remapping on membership
   change;
 * **compute pool** (:mod:`repro.service.supervisor`) — N supervised
-  process-backed replicas with heartbeat monitoring, eviction + backoff
-  restart, per-replica circuit breakers, and per-request deadline
-  budgets.
+  process-backed replicas with heartbeat monitoring, eviction on the
+  first fault + backoff restart, and per-request deadline budgets.
 
 Request lifecycle for a compute endpoint (``/analyze``, ``/simulate``,
 ``/sweep``)::
@@ -72,6 +71,8 @@ from repro.service.handlers import ENDPOINTS, MODEL_ERRORS, RequestError
 from repro.service.metrics import MetricsTable
 from repro.service.resilience import DeadlineBudget
 from repro.service.supervisor import (
+    CRASH_WINDOW,
+    FLEET_SEED,
     FleetConfig,
     FleetExhausted,
     FleetTimeout,
@@ -89,8 +90,12 @@ from repro.streaming.hub import StreamHub
 
 __all__ = ["AnalysisService", "ServiceConfig", "run_service"]
 
-# Backwards-compatible aliases for the pre-split private names.
-_HttpError = HttpError
+#: Healthy replicas ``/readyz`` requires to report ready.
+MIN_READY_REPLICAS = 1
+
+#: Evictions within :data:`~repro.service.supervisor.CRASH_WINDOW`
+#: beyond which ``/readyz`` reports unready (a crash-looping fleet).
+MAX_RECENT_CRASHES = 8
 
 
 @dataclass
@@ -108,9 +113,6 @@ class ServiceConfig:
             get 503 + jittered ``Retry-After``.
         cache_entries: response-cache LRU bound.
         cache_ttl: optional response time-to-live in seconds.
-        stale_grace: retention beyond ``cache_ttl`` for degraded
-            serving (``float("inf")`` default keeps expired responses
-            until LRU pressure evicts them).
         request_timeout: per-request wall-clock budget in seconds,
             spent across every retry/re-route; exhausted budget
             answers 504.
@@ -118,19 +120,10 @@ class ServiceConfig:
             eats a whole attempt without answering is recycled and the
             request re-routes on its remaining budget.  ``None``
             (default) lets one attempt spend the full budget.
-        max_retries: replica-crash retries per request.
         max_body_bytes: request-body size cap (413 beyond it).
         heartbeat_interval / probe_timeout / warmup_timeout /
         route_wait: fleet health knobs (see
             :class:`repro.service.supervisor.FleetConfig`).
-        min_ready_replicas: healthy replicas required for ``/readyz``
-            to report ready.
-        crash_window: lookback for the recent-crash rate.
-        max_recent_crashes: evictions within ``crash_window`` beyond
-            which readiness reports unready (crash-looping fleet).
-        fleet_seed: seed for every jitter draw (restart backoff, retry
-            backoff, ``Retry-After``) — deterministic like
-            :mod:`repro.faults`.
         stream_port: when set, additionally binds the report-stream
             ingest listener (framed NDJSON over TCP; ``0`` picks a free
             port) and enables ``GET /subscribe`` event fan-out.
@@ -146,19 +139,13 @@ class ServiceConfig:
     queue_limit: int = 64
     cache_entries: int = cache_policy.DEFAULT_CACHE_ENTRIES
     cache_ttl: Optional[float] = cache_policy.DEFAULT_CACHE_TTL
-    stale_grace: Optional[float] = cache_policy.DEFAULT_STALE_GRACE
     request_timeout: float = 60.0
     attempt_timeout: Optional[float] = None
-    max_retries: int = 2
     max_body_bytes: int = 1 << 20
     heartbeat_interval: float = 0.5
     probe_timeout: float = 5.0
     warmup_timeout: float = 30.0
     route_wait: float = 1.0
-    min_ready_replicas: int = 1
-    crash_window: float = 30.0
-    max_recent_crashes: int = 8
-    fleet_seed: int = 20080617
     stream_port: Optional[int] = None
     subscriber_queue: int = 64
 
@@ -177,25 +164,16 @@ class ServiceConfig:
             raise ValueError(
                 f"request_timeout must be positive, got {self.request_timeout}"
             )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.min_ready_replicas < 1:
-            raise ValueError(
-                f"min_ready_replicas must be >= 1, got {self.min_ready_replicas}"
-            )
 
     def fleet_config(self) -> FleetConfig:
         """The supervisor-facing slice of this configuration."""
         return FleetConfig(
             replicas=self.replicas,
-            max_retries=self.max_retries,
             attempt_timeout=self.attempt_timeout,
             route_wait=self.route_wait,
             heartbeat_interval=self.heartbeat_interval,
             probe_timeout=self.probe_timeout,
             warmup_timeout=self.warmup_timeout,
-            crash_window=self.crash_window,
-            fleet_seed=self.fleet_seed,
         )
 
 
@@ -227,7 +205,6 @@ class AnalysisService:
         self._cache = build_response_cache(
             max_entries=self.config.cache_entries,
             ttl=self.config.cache_ttl,
-            stale_grace=self.config.stale_grace,
         )
         self._metrics = MetricsTable("service")
         self._supervisor = ReplicaSupervisor(
@@ -245,9 +222,7 @@ class AnalysisService:
         self._stream_transport = StreamTransport(self._stream_hub.open_session)
         # Jitter source for Retry-After: synchronized rejected clients
         # must not re-stampede the admission queue on the same second.
-        self._retry_after_rng = np.random.default_rng(
-            self.config.fleet_seed + 1717
-        )
+        self._retry_after_rng = np.random.default_rng(FLEET_SEED + 1717)
         self._admitted = 0
         self._started_at = time.monotonic()
         self.host: Optional[str] = None
@@ -269,11 +244,6 @@ class AnalysisService:
     def supervisor(self) -> ReplicaSupervisor:
         """The replica fleet (exposed for chaos injection and tests)."""
         return self._supervisor
-
-    @property
-    def stream_hub(self) -> StreamHub:
-        """The streaming hub (sessions + subscriber fan-out)."""
-        return self._stream_hub
 
     @property
     def stream_port(self) -> Optional[int]:
@@ -546,17 +516,17 @@ class AnalysisService:
         recent = self._supervisor.recent_crash_count()
         ready = (
             self._supervisor.started
-            and healthy >= self.config.min_ready_replicas
-            and recent <= self.config.max_recent_crashes
+            and healthy >= MIN_READY_REPLICAS
+            and recent <= MAX_RECENT_CRASHES
         )
         return ready, {
             "status": "ready" if ready else "unready",
             "probe": "readiness",
             "healthy_replicas": healthy,
-            "required_replicas": self.config.min_ready_replicas,
+            "required_replicas": MIN_READY_REPLICAS,
             "recent_crashes": recent,
-            "crash_window_seconds": self.config.crash_window,
-            "max_recent_crashes": self.config.max_recent_crashes,
+            "crash_window_seconds": CRASH_WINDOW,
+            "max_recent_crashes": MAX_RECENT_CRASHES,
             "uptime_seconds": time.monotonic() - self._started_at,
         }
 

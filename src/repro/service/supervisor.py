@@ -13,21 +13,23 @@ are not:
   key fraction.  Replica ids are permanent ring members; health is a
   routing-time filter, so a replica coming back reclaims exactly its
   old keys.
-* **health monitoring** — a background monitor heartbeat-probes *idle*
-  replicas (``inflight == 0``; a busy replica is proving its liveness
-  by serving, and probing behind a slow-but-legitimate task would
-  manufacture false evictions).  Probe failures, mid-task crashes and
-  attempt-deadline overruns evict the replica.
-* **eviction + restart** — eviction is idempotent (first observer wins),
-  wakes in-flight requests for re-routing, and schedules a restart with
-  exponential backoff + jitter drawn from a generator seeded by
-  ``fleet_seed`` — the same determinism discipline as
+* **one fault policy** — every fault evicts the replica at once: a
+  mid-task crash, an attempt-deadline overrun, or a failed heartbeat
+  probe.  The background monitor probes only *idle* replicas
+  (``inflight == 0``; a busy replica is proving its liveness by
+  serving, and probing behind a slow-but-legitimate task would
+  manufacture false evictions).  There is no failure streak and no
+  circuit breaker: a replica is routable or evicted, and a restarted
+  replica serves as soon as its warm-up probe answers.
+* **eviction + restart** — eviction is idempotent (first observer wins,
+  so any number of in-flight requests seeing one crash make one
+  eviction), wakes in-flight requests for re-routing, and schedules a
+  restart with exponential backoff + jitter drawn from a generator
+  seeded by :data:`FLEET_SEED` — the same determinism discipline as
   :mod:`repro.faults`, so chaos runs are reproducible.
 * **per-request resilience** — every request carries one
   :class:`~repro.service.resilience.DeadlineBudget` across all its
-  retries; crash retries are bounded by ``max_retries``; each replica
-  sits behind a :class:`~repro.service.resilience.CircuitBreaker` that
-  half-opens after cooldown.
+  retries, and crash retries are bounded by ``max_retries``.
 
 The supervisor raises typed verdicts (:class:`FleetTimeout`,
 :class:`FleetExhausted`, :class:`NoHealthyReplica`) and leaves HTTP
@@ -57,21 +59,26 @@ from repro.service.replica import (
     ReplicaEvicted,
     ReplicaOverrun,
 )
-from repro.service.resilience import (
-    BREAKER_OPEN,
-    CircuitBreaker,
-    DeadlineBudget,
-    RetryBackoff,
-)
+from repro.service.resilience import DeadlineBudget, RetryBackoff
 from repro.service.router import ConsistentHashRouter
 
 __all__ = [
+    "CRASH_WINDOW",
+    "FLEET_SEED",
     "FleetConfig",
     "FleetExhausted",
     "FleetTimeout",
     "NoHealthyReplica",
     "ReplicaSupervisor",
 ]
+
+
+#: Lookback in seconds for the recent-crash count that readiness reports.
+CRASH_WINDOW = 30.0
+
+#: Seed for every jitter draw the fleet makes (restart and retry
+#: backoff, and the service's ``Retry-After``).
+FLEET_SEED = 20080617
 
 
 class FleetTimeout(Exception):
@@ -113,18 +120,10 @@ class FleetConfig:
         probe_timeout: deadline for a monitor heartbeat probe.
         warmup_timeout: deadline for the first probe of a fresh replica
             (generous: process pools pay worker start-up here).
-        max_consecutive_failures: run failures that trigger eviction
-            (1 = evict on first crash, the pre-fleet behavior).
-        breaker_failures: consecutive failures that open a replica's
-            circuit breaker.
-        breaker_cooldown: seconds an open breaker waits to half-open.
         restart_backoff_base / restart_backoff_cap: exponential backoff
             envelope for restarting an evicted replica.
         retry_backoff_base: base delay between a request's crash
             retries.
-        crash_window: lookback window for the recent-crash rate that
-            readiness reports.
-        fleet_seed: seed for every jitter draw the supervisor makes.
     """
 
     replicas: int = 1
@@ -134,14 +133,9 @@ class FleetConfig:
     heartbeat_interval: float = 0.5
     probe_timeout: float = 5.0
     warmup_timeout: float = 30.0
-    max_consecutive_failures: int = 1
-    breaker_failures: int = 3
-    breaker_cooldown: float = 1.0
     restart_backoff_base: float = 0.05
     restart_backoff_cap: float = 2.0
     retry_backoff_base: float = 0.02
-    crash_window: float = 30.0
-    fleet_seed: int = 20080617
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -149,11 +143,6 @@ class FleetConfig:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.max_consecutive_failures < 1:
-            raise ValueError(
-                "max_consecutive_failures must be >= 1, got "
-                f"{self.max_consecutive_failures}"
             )
 
 
@@ -178,18 +167,17 @@ class ReplicaSupervisor:
         self._clock = clock
         self.metrics = MetricsTable("fleet")
         self._replicas: Dict[str, Replica] = {}
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._restart_attempts: Dict[str, int] = {}
         self._router = ConsistentHashRouter()
         self._restart_backoff = RetryBackoff(
             base=self.config.restart_backoff_base,
             cap=self.config.restart_backoff_cap,
-            seed=self.config.fleet_seed,
+            seed=FLEET_SEED,
         )
         self._retry_backoff = RetryBackoff(
             base=self.config.retry_backoff_base,
             cap=self.config.restart_backoff_cap,
-            seed=self.config.fleet_seed + 1,
+            seed=FLEET_SEED + 1,
         )
         self._crash_times: deque = deque(maxlen=256)
         # Created inside start(): asyncio primitives must be born on the
@@ -231,11 +219,6 @@ class ReplicaSupervisor:
                 self._replicas[replica_id] = Replica(
                     replica_id, self._executor_factory, clock=self._clock
                 )
-                self._breakers[replica_id] = CircuitBreaker(
-                    failure_threshold=self.config.breaker_failures,
-                    cooldown=self.config.breaker_cooldown,
-                    clock=self._clock,
-                )
                 self._restart_attempts[replica_id] = 0
                 self._router.add(replica_id)
             await asyncio.gather(
@@ -267,7 +250,6 @@ class ReplicaSupervisor:
         for replica in self._replicas.values():
             replica.evict()
         self._replicas.clear()
-        self._breakers.clear()
         self._restart_attempts.clear()
         self._router = ConsistentHashRouter()
         # Loop-bound primitives die with the loop that made them.
@@ -281,7 +263,6 @@ class ReplicaSupervisor:
         if await replica.probe(timeout=self.config.warmup_timeout):
             replica.state = STATE_HEALTHY
             self._restart_attempts[replica.replica_id] = 0
-            self._breakers[replica.replica_id].reset()
             self._signal_routable()
         else:
             self.metrics.incr("probe_failures")
@@ -352,7 +333,6 @@ class ReplicaSupervisor:
         if await replica.probe(timeout=self.config.warmup_timeout):
             replica.state = STATE_HEALTHY
             self._restart_attempts[replica_id] = 0
-            self._breakers[replica_id].reset()
             self.metrics.incr("restarts")
             self.metrics.event(
                 "restart", replica=replica_id, generation=replica.generation
@@ -368,30 +348,22 @@ class ReplicaSupervisor:
     # -- routing + submission ------------------------------------------
 
     def _is_routable(self, replica_id: str) -> bool:
-        """Non-consuming health check (no half-open slot is claimed)."""
+        """Whether ``replica_id`` is warmed up and not evicted."""
         replica = self._replicas.get(replica_id)
-        if replica is None or replica.evicted:
-            return False
-        if replica.state != STATE_HEALTHY:
-            return False
-        return self._breakers[replica_id].state != BREAKER_OPEN
+        return (
+            replica is not None
+            and not replica.evicted
+            and replica.state == STATE_HEALTHY
+        )
 
     def _pick(self, key: str) -> Optional[Replica]:
-        """First replica in ``key``'s ring preference that will serve it.
+        """First routable replica in ``key``'s ring preference.
 
-        Walks owner → successor → ... so failover is minimal, and claims
-        the breaker slot (``allow``) only for the candidate actually
-        chosen.
+        Walks owner → successor → ... so failover is minimal.
         """
         for member in self._router.preference(key):
-            replica = self._replicas.get(member)
-            if replica is None or replica.evicted:
-                continue
-            if replica.state != STATE_HEALTHY:
-                continue
-            if not self._breakers[member].allow():
-                continue
-            return replica
+            if self._is_routable(member):
+                return self._replicas[member]
         return None
 
     def _signal_routable(self) -> None:
@@ -405,8 +377,8 @@ class ReplicaSupervisor:
         )
 
     def recent_crash_count(self) -> int:
-        """Fault-driven evictions within the last ``crash_window`` s."""
-        horizon = self._clock() - self.config.crash_window
+        """Fault-driven evictions within the last :data:`CRASH_WINDOW` s."""
+        horizon = self._clock() - CRASH_WINDOW
         return sum(1 for stamp in self._crash_times if stamp >= horizon)
 
     async def wait_routable(self, timeout: float) -> bool:
@@ -470,7 +442,6 @@ class ReplicaSupervisor:
                         f"{patience:.3f} s"
                     )
                 continue
-            breaker = self._breakers[replica.replica_id]
             timeout = budget.remaining()
             if self.config.attempt_timeout is not None:
                 timeout = min(timeout, self.config.attempt_timeout)
@@ -485,13 +456,7 @@ class ReplicaSupervisor:
             except ReplicaCrashed:
                 crashes += 1
                 self.metrics.incr("crashes")
-                breaker.record_failure()
-                replica.mark_failure()
-                if (
-                    replica.consecutive_failures
-                    >= self.config.max_consecutive_failures
-                ):
-                    self._evict(replica, reason="crash")
+                self._evict(replica, reason="crash")
                 if crashes > self.config.max_retries:
                     raise FleetExhausted(crashes)
                 delay = min(
@@ -505,11 +470,8 @@ class ReplicaSupervisor:
                 # indistinguishable from hung: recycle it (the pre-fleet
                 # behavior recycled the whole pool here).
                 self.metrics.incr("overruns")
-                breaker.record_failure()
-                replica.mark_failure()
                 self._evict(replica, reason="overrun")
                 continue
-            breaker.record_success()
             return result
 
     # -- introspection + chaos surface ---------------------------------
@@ -535,9 +497,7 @@ class ReplicaSupervisor:
                     "generation": replica.generation,
                     "inflight": replica.inflight,
                     "heartbeat_age": round(replica.heartbeat_age(), 6),
-                    "consecutive_failures": replica.consecutive_failures,
                     "overruns": replica.overruns,
-                    "breaker": self._breakers[replica_id].state,
                 }
                 for replica_id, replica in sorted(self._replicas.items())
             },

@@ -164,11 +164,6 @@ class SlidingWindowDetector:
         return len(self._nodes)
 
     @property
-    def open_period(self) -> Optional[int]:
-        """The period currently accepting reports, if any."""
-        return self._open_period
-
-    @property
     def last_period(self) -> int:
         """The last period that closed (0 before any)."""
         return self._last_period

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.scenario import Scenario
 from repro.detection.reports import DetectionReport
@@ -288,10 +288,6 @@ class FrameDecoder:
             out.append(frame)
         return out
 
-    def iter_feed(self, chunk: bytes) -> Iterator[Dict[str, Any]]:
-        """Like :meth:`feed` but yields frames one at a time."""
-        yield from self.feed(chunk)
-
 
 class SessionValidator:
     """Enforce the session grammar over a decoded frame sequence.
@@ -315,11 +311,6 @@ class SessionValidator:
         self._seq = 0
         self._period = 0
         self._total_reports = 0
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the last accepted frame (0 = only hello)."""
-        return self._seq
 
     @property
     def last_period(self) -> int:

@@ -23,6 +23,7 @@ from repro.distributed import (
     resolve_spec,
 )
 from repro.distributed import orchestrator, protocol
+from repro.distributed.worker import worker_main
 from repro.errors import (
     ProtocolError,
     SimulationError,
@@ -567,6 +568,36 @@ class TestFleetLifecycle:
         with pytest.raises(OSError, match="spawn refused"):
             distributed_sweep([{"x": 1}], DOUBLE_SPEC, workers=2)
         assert [t.name for t in _new_threads(before)] == []
+
+    def test_bad_spec_fails_in_the_parent_before_any_worker(
+        self, monkeypatch
+    ):
+        class NoSpawnContext:
+            def Process(self, *args, **kwargs):
+                raise AssertionError("a worker started for a bad spec")
+
+        monkeypatch.setattr(
+            orchestrator.multiprocessing, "get_context", NoSpawnContext
+        )
+        before = threading.enumerate()
+        started = time.monotonic()
+        with pytest.raises(ProtocolError, match="unknown spec kind") as info:
+            LocalFleet([{"x": 1}], {"kind": "nope"}, workers=2).start().join(5)
+        assert info.value.code == "spec"
+        with pytest.raises(ProtocolError, match="unknown spec kind"):
+            distributed_sweep([{"x": 1}], {"kind": "nope"}, workers=2)
+        assert time.monotonic() - started < 1.0
+        assert [t.name for t in _new_threads(before)] == []
+
+    def test_worker_exits_5_on_a_spec_it_cannot_resolve(self):
+        coordinator = SweepCoordinator([{"x": 1}], {"kind": "nope"}).start()
+        try:
+            host, port = coordinator.address
+            with pytest.raises(SystemExit) as info:
+                worker_main(host, port, "w0")
+            assert info.value.code == 5
+        finally:
+            coordinator.close()
 
     @pytest.mark.parametrize("workers", [2.5, True, "2", 0])
     def test_non_integer_workers_rejected_before_binding(self, small, workers):

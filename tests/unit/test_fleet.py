@@ -5,12 +5,12 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.service import (
-    CircuitBreaker,
     ConsistentHashRouter,
     DeadlineBudget,
     FleetConfig,
@@ -26,11 +26,6 @@ from repro.service.replica import (
     ReplicaEvicted,
     ReplicaOverrun,
     STATE_HEALTHY,
-)
-from repro.service.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
 )
 
 
@@ -155,46 +150,6 @@ class TestRetryBackoff:
             assert 0.5 * ceiling <= delay <= ceiling
 
 
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_half_opens_after_cooldown(self):
-        clock = _FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, cooldown=5.0, clock=clock)
-        assert breaker.state == BREAKER_CLOSED
-        breaker.record_failure()
-        assert breaker.state == BREAKER_CLOSED
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        assert not breaker.allow()
-        clock.advance(5.1)
-        assert breaker.state == BREAKER_HALF_OPEN
-        # The single half-open probe slot is consumed by allow().
-        assert breaker.allow()
-        assert not breaker.allow()
-
-    def test_half_open_probe_outcome_settles_the_state(self):
-        clock = _FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=1.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(1.1)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == BREAKER_CLOSED
-
-        breaker.record_failure()
-        clock.advance(1.1)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-
-    def test_reset_closes_the_breaker(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown=60.0)
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        breaker.reset()
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.allow()
-
-
 # -- replica -----------------------------------------------------------
 
 
@@ -202,15 +157,48 @@ def _thread_pool():
     return ThreadPoolExecutor(max_workers=1)
 
 
+def _held(value):
+    return value
+
+
+class _CrashablePool(Executor):
+    """Runs tasks inline, except that a holding pool parks ``_held`` tasks.
+
+    :meth:`crash` fails every parked task at once with
+    :class:`BrokenProcessPool`, as a process pool that loses a worker
+    fails all of its pending futures together.
+    """
+
+    def __init__(self, hold: bool):
+        self.hold = hold
+        self.parked = []
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        if self.hold and fn is _held:
+            self.parked.append(future)
+        else:
+            future.set_result(fn(*args, **kwargs))
+        return future
+
+    def crash(self) -> None:
+        for future in self.parked:
+            future.set_exception(BrokenProcessPool("worker died"))
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False):
+        pass
+
+
 class TestReplica:
     def test_run_returns_result_and_refreshes_heartbeat(self):
         async def main():
-            replica = Replica("r0", _thread_pool)
-            replica.consecutive_failures = 2
+            clock = _FakeClock()
+            replica = Replica("r0", _thread_pool, clock=clock)
+            clock.advance(7.0)
+            assert replica.heartbeat_age() == 7.0
             result = await replica.run(_echo, "hi", timeout=5.0)
             assert result == "hi"
-            assert replica.consecutive_failures == 0
-            assert replica.heartbeat_age() < 5.0
+            assert replica.heartbeat_age() == 0.0
             replica.evict()
 
         run(main())
@@ -364,6 +352,52 @@ class TestReplicaSupervisor:
 
         run(main())
 
+    def test_crash_under_load_evicts_once_and_restarts_without_cooldown(self):
+        """Every request on a crashed replica sees the crash; the replica
+        is evicted and restarted once, and the new generation serves the
+        next request at once."""
+        pools = []
+
+        def factory():
+            pools.append(_CrashablePool(hold=not pools))
+            return pools[-1]
+
+        async def main():
+            config = _fast_config(replicas=1, route_wait=1.0)
+            supervisor = ReplicaSupervisor(factory, config)
+            await supervisor.start()
+            try:
+                tasks = [
+                    asyncio.ensure_future(
+                        supervisor.submit(
+                            f"k{index}", _held, index,
+                            budget=DeadlineBudget(5.0),
+                        )
+                    )
+                    for index in range(4)
+                ]
+                while supervisor.replica("r0").inflight < 4:
+                    await asyncio.sleep(0.001)
+                pools[0].crash()
+                # Each request retries on the restarted replica.
+                assert await asyncio.gather(*tasks) == [0, 1, 2, 3]
+                assert supervisor.metrics.counter("crashes") == 4
+                assert supervisor.metrics.counter("evictions") == 1
+                assert supervisor.metrics.counter("restarts") == 1
+                assert len(pools) == 2
+                assert supervisor.replica("r0").generation == 1
+                assert supervisor.healthy_count() == 1
+                started = time.monotonic()
+                assert await supervisor.submit(
+                    "k-next", _echo, "next", budget=DeadlineBudget(0.5)
+                ) == "next"
+                assert time.monotonic() - started < 0.1
+                assert supervisor.metrics.counter("evictions") == 1
+            finally:
+                await supervisor.stop()
+
+        run(main())
+
     def test_mid_flight_eviction_reroutes_without_charging_retries(self):
         """The leak fix: requests on an evicted replica re-route and finish."""
 
@@ -457,7 +491,13 @@ class TestReplicaSupervisor:
                 assert snapshot["recent_crashes"] == 0
                 entry = snapshot["replicas"]["r0"]
                 assert entry["state"] == STATE_HEALTHY
-                assert entry["breaker"] == BREAKER_CLOSED
+                assert set(entry) == {
+                    "state",
+                    "generation",
+                    "inflight",
+                    "heartbeat_age",
+                    "overruns",
+                }
             finally:
                 await supervisor.stop()
 

@@ -11,6 +11,13 @@ goes in :data:`KEPT` with that path.  References are matched by name
 (``Name`` ids, attribute names and ``from ... import`` names), so an
 unrelated attribute of the same name hides a dead symbol; the scan errs
 towards passing, never towards a false failure.
+
+Public methods and properties of ``src/repro`` classes get the same
+scan one level down, with ``tests/`` counted too (a test that drives a
+method through its class is a use): a method whose name no ``Name``,
+attribute, import or string constant in ``src/``, ``examples/``,
+``benchmarks/``, ``e2ebench/`` or ``tests/`` carries, outside its own
+definition, is dead.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Dict, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
 USER_DIRS = ("src", "examples", "benchmarks", "e2ebench")
+METHOD_DIRS = USER_DIRS + ("tests",)
 
 # Unreferenced by name in USER_DIRS, but run by a user path.
 KEPT: Dict[str, str] = {
@@ -124,3 +132,65 @@ def test_kept_entries_are_still_needed():
     """A KEPT name that gains a real reference (or is deleted) leaves KEPT."""
     stale = sorted(set(KEPT) - set(unreferenced_public_symbols()))
     assert not stale, f"KEPT entries no longer unreferenced: {stale}"
+
+
+def _public_methods() -> Dict[str, str]:
+    """``{name: "path:line"}`` for public methods of ``src/repro`` classes."""
+    methods: Dict[str, str] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not node.name.startswith("_"):
+                    methods.setdefault(
+                        node.name,
+                        f"{path.relative_to(ROOT)}:{node.lineno} "
+                        f"({cls.name})",
+                    )
+    return methods
+
+
+def unreferenced_public_methods() -> Dict[str, str]:
+    """Public methods whose name nothing outside their own body uses.
+
+    A def's own body (its decorators too, so a property's setter does
+    not count as a use of the getter) hides only the def's own name.
+    """
+    methods = _public_methods()
+    used: Set[str] = set()
+    for directory in METHOD_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            stack = [(ast.parse(path.read_text()), "")]
+            while stack:
+                node, own = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    own = node.name
+                name = None
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    name = node.value
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+                if name is not None and name != own:
+                    used.add(name)
+                stack.extend(
+                    (child, own) for child in ast.iter_child_nodes(node)
+                )
+    return {name: where for name, where in methods.items() if name not in used}
+
+
+def test_every_public_method_has_a_use():
+    orphans = unreferenced_public_methods()
+    assert not orphans, (
+        "public methods of src/repro classes whose name nothing in src/, "
+        "examples/, benchmarks/, e2ebench/ or tests/ uses; delete them:\n"
+        + "\n".join(f"  {name}  ({where})" for name, where in orphans.items())
+    )
