@@ -9,18 +9,19 @@ FFT (both supports ``>= FFT_MIN_WIDTH``):
 * **fft** — ``rfft``/``irfft`` on a fast composite length
   (``O(B L log L)``), guarded by the a-priori round-off bound.
 
-The ISSUE 6 acceptance gate: on supports >= 64 the FFT path must be
-**>= 3x** faster than shift-and-add while agreeing to 1e-12, asserted
-here so the committed record can never drift from a run that missed
-them.  The ``auto`` row times :func:`~repro.core.kernels.batch_convolve`
-itself and documents that the dispatcher actually picks the fast path at
-these widths (same arrays, guard accepted).
+The FFT must agree with shift-and-add to 1e-12, asserted here so the
+committed record can never drift from a run that missed it.  The
+speedup is recorded, not asserted: a slow FFT reads ``WORSE`` on the
+end-to-end offline-sweep workload (CHANGES.md keeps the pair result).
+The ``auto`` row times :func:`~repro.core.kernels.batch_convolve` itself
+and documents that the dispatcher actually picks the fast path at these
+widths (same arrays, guard accepted); the committed record is the
+baseline of ``bench_regression.py``'s dispatch gate.
 
 Environment knobs:
 
 * ``REPRO_BENCH_KERNEL_ROWS`` — stack rows (default 64).
-* ``REPRO_BENCH_KERNEL_WIDTH`` — support width (default 256; the gate
-  applies whenever the width is >= 64).
+* ``REPRO_BENCH_KERNEL_WIDTH`` — support width (default 256).
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from repro.core.kernels import (
     fft_roundoff_bound,
 )
 from repro.experiments.records import ExperimentRecord
-
-#: Required FFT speedup over shift-and-add on large supports.
-MIN_SPEEDUP = 3.0
 
 #: Parity bound between the kernels (the FFT reassociates the sums).
 PARITY_ATOL = 1e-12
@@ -87,11 +85,6 @@ def test_fft_kernel_speedup(emit_record):
     assert (auto_out == fft_out).all()
 
     speedup = reference_seconds / fft_seconds
-    if width >= FFT_MIN_WIDTH:
-        assert speedup >= MIN_SPEEDUP, (
-            f"FFT convolution at width {width} is only {speedup:.1f}x "
-            f"faster than shift-and-add (need >= {MIN_SPEEDUP}x)"
-        )
 
     record = ExperimentRecord(
         experiment_id="PERF-KERNEL",

@@ -1,22 +1,15 @@
-"""PERF-PAR / PERF-CACHE — parallel Monte Carlo speedup and cache hit rate.
+"""PERF-PAR — parallel Monte Carlo wall-clock.
 
-Two records:
-
-* ``PERF-PAR`` times the ONR Monte Carlo serially and at 2 and
-  ``REPRO_BENCH_WORKERS`` (default 4) worker processes, recording
-  wall-clock seconds, speedup, and the detection estimate of each run.
-  The speedup floor (>= 2.5x at 4 workers) is only asserted when the
-  host actually exposes >= 4 cores *and* the configured trial count is
-  at the paper's 10000 — a process pool cannot beat the serial path on
-  a single-core container, and the record states the core count so the
-  committed numbers are interpretable.
-* ``PERF-CACHE`` runs a Fig. 9(a)-style analysis grid twice against a
-  cold process-wide cache and records hits/misses/hit rate, asserting
-  the k/N sweep recomputes each distinct geometry at most once.
+Times the ONR Monte Carlo serially and at 2 and ``REPRO_BENCH_WORKERS``
+(default 4) worker processes, recording wall-clock seconds, speedup, and
+the detection estimate of each run.  The record states the core count so
+the committed numbers are interpretable; its ``workers=1`` row is the
+baseline of ``bench_regression.py``'s per-trial gate.  No speedup is
+asserted: a pool that loses its parallelism reads ``WORSE`` on the
+end-to-end offline-sweep workload (CHANGES.md keeps the pair result).
 
 Expected shape: parallel estimates land inside the serial run's Wilson
-interval (independent SeedSequence streams, same distribution); cache hit
-rate well above 50% on the second grid pass.
+interval (independent SeedSequence streams, same distribution).
 """
 
 from __future__ import annotations
@@ -25,8 +18,6 @@ import os
 import time
 
 from benchmarks.conftest import bench_seed, bench_trials
-from repro.cache import analysis_cache, clear_analysis_cache
-from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.experiments.presets import onr_scenario
 from repro.experiments.records import ExperimentRecord
 from repro.parallel import available_workers
@@ -71,14 +62,12 @@ def test_parallel_speedup(emit_record):
     )
     low, high = serial.confidence_interval(confidence=0.999)
 
-    speedups = {}
     for workers in sorted({2, bench_workers()} - {1}):
         seconds, result = _timed_run(scenario, trials, seed, workers=workers)
-        speedups[workers] = serial_seconds / seconds
         record.add_row(
             workers=workers,
             seconds=seconds,
-            speedup=speedups[workers],
+            speedup=serial_seconds / seconds,
             detection_probability=result.detection_probability,
         )
         # Different — equally valid — trial streams: the estimate must
@@ -91,48 +80,3 @@ def test_parallel_speedup(emit_record):
         )
 
     emit_record(record)
-
-    if cores >= 4 and trials >= 10_000 and bench_workers() >= 4:
-        assert speedups[bench_workers()] >= 2.5, record.rows
-
-
-def test_cache_hit_rate(emit_record):
-    node_counts = (60, 120, 180, 240)
-    thresholds = (3, 5, 7)
-    clear_analysis_cache()
-    record = ExperimentRecord(
-        experiment_id="PERF-CACHE",
-        title="Analysis cache hit rate over a k x N grid, run twice",
-        parameters={
-            "node_counts": list(node_counts),
-            "thresholds": list(thresholds),
-            "speed": 10.0,
-        },
-    )
-
-    def run_grid():
-        start = time.perf_counter()
-        for count in node_counts:
-            for threshold in thresholds:
-                scenario = onr_scenario(
-                    num_sensors=count, speed=10.0, threshold=threshold
-                )
-                MarkovSpatialAnalysis(scenario, 3).detection_probability()
-        return time.perf_counter() - start
-
-    first_seconds = run_grid()
-    first = analysis_cache().stats()
-    record.add_row(grid_pass=1, seconds=first_seconds, **first)
-    second_seconds = run_grid()
-    second = analysis_cache().stats()
-    record.add_row(grid_pass=2, seconds=second_seconds, **second)
-    emit_record(record)
-
-    # One geometry (Rs, V*t) across the whole grid: the region areas are
-    # computed once, and every k-variation on a warm N hits.  The second
-    # pass must add no misses at all.
-    assert second["misses"] == first["misses"], (first, second)
-    assert second["hit_rate"] > 0.5
-    # Distinct N recompute pmfs but not geometry: far fewer misses than
-    # one-cold-compute-per-grid-point would need.
-    assert first["misses"] < len(node_counts) * len(thresholds) * 3

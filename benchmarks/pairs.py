@@ -16,15 +16,19 @@ Every run is printed, then, per workload and end-to-end metric:
   ``BENCHMARK.json``);
 * the A/A floor, the parent's interquartile range as a share of its
   median: a difference smaller than this is noise on this host;
-* the change of the medians, and ``unresolved`` when either side's
-  spread is wider than the metric's bound, or there is one pair only
-  (more pairs, or a quieter host, are needed before the metric says
-  anything).
+* the change of the medians and a verdict: ``WORSE`` or ``BETTER``
+  beyond the metric's bound, ``within bound``, or ``unresolved`` when
+  there is one pair only or either side's spread is wider than the
+  bound (more pairs, or a quieter host, are needed before the metric
+  says anything).  With at least 3 pairs, a clean separation (every
+  change run on the same side of every parent run, and medians further
+  apart than the bound) gives ``WORSE`` or ``BETTER`` whatever the
+  spread.
 
 ``--parent`` and ``--change`` may name the same checkout: that A/A run
-measures the floor alone.  Exits 1 when a run fails, prints no result
-or reports failed operations; a flag on a metric does not change the
-exit code.
+measures the floor alone.  Exits 1 when a run fails, prints no result,
+reports incorrect outputs or failed operations; otherwise exits 2 when
+any metric reads ``WORSE``, and 0.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ import subprocess
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+#: The verdict that fails the command (exit 2).
+WORSE = "WORSE beyond bound"
+
+#: Fewest pairs whose clean separation outweighs a wide spread.
+MIN_SEPARATED_PAIRS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -68,8 +78,10 @@ def run_once(spec: dict, root: Path, workload: str, seed: int,
     if proc.returncode != 0 or not isinstance(result, dict):
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return None, f"exit {proc.returncode}: {tail}"
-    if not result.get("correct") or result.get("failed"):
-        return result, f"{result.get('failed')} failed operation(s)"
+    if not result.get("correct"):
+        return result, "incorrect outputs"
+    if result.get("failed"):
+        return result, f"{result['failed']} failed operation(s)"
     return result, None
 
 
@@ -100,12 +112,20 @@ def summarise(metric: dict, pairs: list) -> str:
     floor = share(p3 - p1, pm)
     spread = max(floor, share(c3 - c1, cm))
     delta = share(cm - pm, pm)
+    separated = (
+        len(pairs) >= MIN_SEPARATED_PAIRS
+        and abs(delta) > bound
+        and (max(values["change"]) < min(values["parent"])
+             or min(values["change"]) > max(values["parent"]))
+    )
     if len(pairs) < 2:
         verdict = "unresolved (one pair has no spread)"
-    elif spread > bound:
+    elif spread > bound and not separated:
         verdict = f"unresolved (spread {spread:.1%} > bound {bound:.0%})"
     elif sign * delta < -bound:
-        verdict = f"WORSE beyond bound {bound:.0%}"
+        verdict = f"{WORSE} {bound:.0%}"
+    elif sign * delta > bound:
+        verdict = f"BETTER beyond bound {bound:.0%}"
     else:
         verdict = f"within bound {bound:.0%}"
     return (
@@ -122,7 +142,7 @@ def main(argv=None) -> int:
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    ok = True
+    ok, worse = True, False
     for workload in workloads:
         pairs = []
         for index in range(args.pairs):
@@ -152,8 +172,12 @@ def main(argv=None) -> int:
         print(f"{workload} ({len(pairs)} complete pairs, q1/median/q3, "
               f"--seconds {seconds:g}, --seed {args.seed}):")
         for metric in spec["end_to_end"]:
-            print(summarise(metric, pairs))
-    return 0 if ok else 1
+            line = summarise(metric, pairs)
+            worse = worse or WORSE in line
+            print(line)
+    if not ok:
+        return 1
+    return 2 if worse else 0
 
 
 if __name__ == "__main__":

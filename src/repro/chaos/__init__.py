@@ -34,7 +34,6 @@ from repro.chaos.actions import (
     KINDS,
     hang,
     kill,
-    slow,
 )
 from repro.chaos.distributed import (
     SWEEP_KINDS,
@@ -60,5 +59,4 @@ __all__ = [
     "kill",
     "kill_coordinator",
     "kill_worker",
-    "slow",
 ]

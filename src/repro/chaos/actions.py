@@ -16,18 +16,13 @@ Action kinds:
            task or heartbeat probe, evicted, restarted.
 ``hang``   wedge every worker in the replica with an uninterruptible
            sleep of ``duration`` seconds; detected by probe timeout
-           or attempt-deadline overrun.
-``slow``   occupy every worker for ``duration`` seconds — long enough
-           to queue requests, short enough that a well-tuned fleet
-           must *not* evict (a slow replica is not a dead one).
-``flap``   kill, wait for the supervisor to restart the replica, then
-           kill it again — exercises restart backoff and repeated
-           recovery of the *same* ring member.
+           or attempt-deadline overrun.  A wedge shorter than the
+           probe timeout is only a slow replica, and is not evicted.
 =========  ==========================================================
 
 ``fault_count`` is the number of evictions+restarts a correct
-supervisor performs for the script: 1 per ``kill``/``hang``, 2 per
-``flap``, 0 per ``slow`` — the chaos acceptance suite pins the
+supervisor performs for the script: 1 per ``kill``/``hang`` that
+outlasts the probe timeout — the chaos acceptance suite pins the
 ``fleet.evictions``/``fleet.restarts`` counters to it exactly.
 """
 
@@ -36,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-__all__ = ["ChaosAction", "ChaosScript", "KINDS", "hang", "kill", "slow"]
+__all__ = ["ChaosAction", "ChaosScript", "KINDS", "hang", "kill"]
 
-KINDS = ("kill", "hang", "slow", "flap")
+KINDS = ("kill", "hang")
 
 #: Evictions (and restarts) a correct supervisor performs per action.
-_FAULTS_PER_KIND = {"kill": 1, "hang": 1, "slow": 0, "flap": 2}
+_FAULTS_PER_KIND = {"kill": 1, "hang": 1}
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,7 @@ class ChaosAction:
         kind: one of :data:`KINDS`.
         replica: target replica id; ``None`` lets the harness draw one
             from the script's seeded generator.
-        duration: wedge length for ``hang``/``slow``; for ``flap``, how
-            long to wait for the restart before the second kill.
+        duration: wedge length for ``hang``.
     """
 
     at: float
@@ -122,8 +116,3 @@ def kill(at: float, replica: Optional[str] = None) -> ChaosAction:
 def hang(at: float, duration: float, replica: Optional[str] = None) -> ChaosAction:
     """A ``hang`` action wedging all workers for ``duration`` seconds."""
     return ChaosAction(at=at, kind="hang", replica=replica, duration=duration)
-
-
-def slow(at: float, duration: float, replica: Optional[str] = None) -> ChaosAction:
-    """A ``slow`` action occupying all workers for ``duration`` seconds."""
-    return ChaosAction(at=at, kind="slow", replica=replica, duration=duration)

@@ -12,7 +12,7 @@ the supervisor what happened.
 
 Injection bookkeeping lands in the ``chaos.*`` namespace
 (:class:`~repro.service.metrics.MetricsTable`): ``injected`` plus one
-counter per kind (``kills``/``hangs``/``slows``/``flaps``), so a traced
+counter per kind (``kills``/``hangs``), so a traced
 run's manifest carries the injected-fault totals right next to the
 ``fleet.*`` recovery totals they must reconcile with.
 """
@@ -28,14 +28,13 @@ import numpy as np
 
 from repro.chaos.actions import ChaosAction, ChaosScript
 from repro.service.metrics import MetricsTable
-from repro.service.replica import STATE_HEALTHY
 from repro.service.supervisor import ReplicaSupervisor
 
 __all__ = ["ChaosHarness", "ChaosReport"]
 
 
 def _wedge(seconds: float) -> str:
-    """Worker-side sleep used for ``hang``/``slow``; must stay picklable."""
+    """Worker-side sleep used for ``hang``; must stay picklable."""
     time.sleep(seconds)
     return "wedged"
 
@@ -95,13 +94,7 @@ class ChaosHarness:
         return str(self._rng.choice(list(members)))
 
     async def run(self) -> ChaosReport:
-        """Replay every action at its offset; return the injection report.
-
-        Raises:
-            RuntimeError: a ``flap`` target was not restarted within its
-                gap — the scripted second kill would be meaningless, so
-                the run fails loudly instead of under-injecting.
-        """
+        """Replay every action at its offset; return the injection report."""
         report = ChaosReport(script=self.script.to_dict())
         report.started_at = self._clock()
         for action in self.script.actions:
@@ -109,7 +102,7 @@ class ChaosHarness:
             if delay > 0:
                 await asyncio.sleep(delay)
             target = self._target(action)
-            await self._inject(action, target)
+            self._inject(action, target)
             self.metrics.incr("injected")
             self.metrics.event(
                 "inject", kind=action.kind, replica=target, at=action.at
@@ -128,19 +121,13 @@ class ChaosHarness:
         report.counters = counters
         return report
 
-    async def _inject(self, action: ChaosAction, target: str) -> None:
+    def _inject(self, action: ChaosAction, target: str) -> None:
         if action.kind == "kill":
             self.metrics.incr("kills")
             self.supervisor.replica(target).kill()
         elif action.kind == "hang":
             self.metrics.incr("hangs")
             self._wedge_workers(target, action.duration)
-        elif action.kind == "slow":
-            self.metrics.incr("slows")
-            self._wedge_workers(target, action.duration)
-        elif action.kind == "flap":
-            self.metrics.incr("flaps")
-            await self._flap(target, action.duration)
         else:  # pragma: no cover - ChaosAction validates kinds
             raise ValueError(f"unknown chaos kind {action.kind!r}")
 
@@ -155,25 +142,3 @@ class ChaosHarness:
         workers = getattr(replica.pool, "_max_workers", 1)
         for _ in range(workers):
             replica.pool.submit(_wedge, duration)
-
-    async def _flap(self, target: str, gap: float) -> None:
-        """Kill ``target``, wait for its restart, kill it again."""
-        first = self.supervisor.replica(target)
-        generation = first.generation
-        first.kill()
-        deadline = self._clock() + max(gap, 0.1)
-        while True:
-            replica = self.supervisor.replica(target)
-            if (
-                replica.generation > generation
-                and replica.state == STATE_HEALTHY
-                and not replica.evicted
-            ):
-                break
-            if self._clock() >= deadline:
-                raise RuntimeError(
-                    f"flap target {target} was not restarted within "
-                    f"{gap} s; second kill would under-inject"
-                )
-            await asyncio.sleep(0.02)
-        replica.kill()

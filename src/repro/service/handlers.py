@@ -42,7 +42,11 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.markov_spatial import MarkovSpatialAnalysis
 from repro.core.scenario import Scenario
 from repro.errors import AnalysisError, ScenarioError, SimulationError
-from repro.experiments.sweeps import BATCHED_FIELDS, analytical_grid_sweep
+from repro.experiments.sweeps import (
+    BATCHED_FIELDS,
+    analytical_grid_sweep,
+    simulated_grid_sweep,
+)
 
 __all__ = [
     "ENDPOINTS",
@@ -273,54 +277,31 @@ def canonicalize_simulate(payload: Any) -> Dict[str, Any]:
 def compute_simulate(request: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-side kernel for ``/simulate`` (deterministic in the seed).
 
-    With a ``sweep`` the whole axis is answered by one
-    :class:`~repro.simulation.fused.FusedMonteCarloEngine` pass; the
-    response gains a ``"rows"`` list (one Wilson-intervalled estimate per
-    value) and its top-level estimate is the base scenario's own point.
+    With a ``sweep`` the whole axis is answered by one fused Monte Carlo
+    pass (:func:`~repro.experiments.sweeps.simulated_grid_sweep`); the
+    response carries a ``"rows"`` list (one Wilson-intervalled estimate
+    per value) in place of a single estimate.
     """
     from repro.simulation.runner import MonteCarloSimulator
 
     scenario = Scenario.from_dict(request["scenario"])
     axis = request.get("sweep")
     if axis is not None:
-        from repro.simulation.fused import FusedMonteCarloEngine
+        from repro.simulation.stats import wilson_interval
 
-        parameter = axis["parameter"]
-        values = list(axis["values"])
-        axes = {
-            "num_sensors": [scenario.num_sensors],
-            "thresholds": [scenario.threshold],
-        }
-        axes["num_sensors" if parameter == "num_sensors" else "thresholds"] = (
-            values
-        )
-        result = FusedMonteCarloEngine(
+        rows = simulated_grid_sweep(
             scenario,
+            {axis["parameter"]: axis["values"]},
             trials=request["trials"],
             seed=request["seed"],
             boundary=request["boundary"],
-            **axes,
-        ).run()
-        detections = result.detections_grid()
-        intervals = result.confidence_interval_grid()
-        rows = []
-        for index, value in enumerate(values):
-            i, j = (index, 0) if parameter == "num_sensors" else (0, index)
-            rows.append(
-                {
-                    parameter: value,
-                    "detections": int(detections[i, j]),
-                    "detection_probability": float(
-                        detections[i, j] / result.trials
-                    ),
-                    "confidence_interval": [
-                        float(intervals[i, j, 0]),
-                        float(intervals[i, j, 1]),
-                    ],
-                }
+        )
+        for row in rows:
+            row["confidence_interval"] = list(
+                wilson_interval(row["detections"], row.pop("trials"))
             )
         return {
-            "parameter": parameter,
+            "parameter": axis["parameter"],
             "rows": rows,
             "trials": request["trials"],
             "seed": request["seed"],

@@ -61,7 +61,6 @@ from repro.errors import SimulationError
 from repro.parallel import _validate_workers, run_fused_parallel
 from repro.simulation.runner import MonteCarloSimulator, SimulationResult
 from repro.simulation.sensing import sample_detections, segment_coverage
-from repro.simulation.stats import wilson_interval
 
 __all__ = ["FusedMonteCarloEngine", "FusedSweepResult"]
 
@@ -149,19 +148,6 @@ class FusedSweepResult:
         in ``N``, non-increasing in ``k``).
         """
         return self.detections_grid() / self.trials
-
-    def confidence_interval_grid(
-        self, confidence: float = 0.95
-    ) -> np.ndarray:
-        """``(N, k, 2)`` per-point Wilson intervals (marginally valid)."""
-        detections = self.detections_grid()
-        out = np.empty(detections.shape + (2,))
-        for i in range(detections.shape[0]):
-            for j in range(detections.shape[1]):
-                out[i, j] = wilson_interval(
-                    int(detections[i, j]), self.trials, confidence
-                )
-        return out
 
     def result_at(self, index: int) -> SimulationResult:
         """One column as a per-point :class:`SimulationResult` view.

@@ -58,7 +58,6 @@ class TestFusedEngine:
         assert fused_result.trials == TRIALS
         assert fused_result.detections_grid().shape == (3, 3)
         assert fused_result.detection_probability_grid().shape == (3, 3)
-        assert fused_result.confidence_interval_grid().shape == (3, 3, 2)
 
     def test_max_column_bitwise_equals_plain_simulator(self, small):
         fused = FusedMonteCarloEngine(
@@ -133,12 +132,6 @@ class TestFusedEngine:
         )
         with pytest.raises(SimulationError, match="index must be in"):
             fused_result.result_at(3)
-
-    def test_confidence_intervals_bracket_estimates(self, fused_result):
-        grid = fused_result.detection_probability_grid()
-        ci = fused_result.confidence_interval_grid()
-        assert (ci[:, :, 0] <= grid).all()
-        assert (grid <= ci[:, :, 1]).all()
 
     def test_counters(self, small):
         with obs.instrument() as ob:
