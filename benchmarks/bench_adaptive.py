@@ -16,11 +16,12 @@ context only — in-process the dense path answers whole axes from one
 batched survival stack, so its *seconds* per evaluation are far cheaper
 than a point-by-point search's; no timing gate is asserted here.
 
-In-test gates (also pinned against the committed record by
-``bench_regression.py``):
+In-test gates, all asserted before the record is written, so a committed
+record meets them by construction:
 
 * every query's adaptive answer matches its dense answer exactly;
 * no query fell back to a dense scan (``fallbacks == 0``);
+* every query spent ``0 < adaptive < dense`` evaluations;
 * aggregate adaptive evaluations <= 25% of aggregate dense evaluations.
 
 Environment knobs:
@@ -174,6 +175,10 @@ def test_adaptive_vs_dense_evaluation_counts(emit_record):
             f"{name}: the model violated its claimed monotonicity on a "
             "sampled pair — the fallback kept the answer exact, but the "
             "cost claim is void"
+        )
+        assert 0 < adaptive_cost < dense_cost, (
+            f"{name}: adaptive search spent {adaptive_cost} evaluations "
+            f"against the dense scan's {dense_cost}"
         )
         record.add_row(
             query=name,

@@ -666,8 +666,8 @@ def simulated_grid_sweep(
             seed, and the two paths agree bitwise at
             ``N = max(num_sensors)``.
         boundary / batch_size: as on :class:`MonteCarloSimulator`.
-        workers: on the fused path, trial shards
-            (:func:`repro.parallel.run_fused_parallel`); on the
+        workers: on the fused path, trial shards (as
+            ``FusedMonteCarloEngine.run(workers=...)``); on the
             per-point path, pool processes per point.
         checkpoint: optional JSON path, same resume semantics as
             :func:`grid_sweep`.  A checkpoint written by one dispatch

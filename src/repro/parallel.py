@@ -4,10 +4,10 @@ The paper's analytical headline (the M-S-approach) made the *model* cheap
 to evaluate; this module makes the *validation* side cheap too.  It fans
 Monte Carlo trial shards and sweep grid points out to worker processes:
 
-* :func:`run_simulator_parallel` splits a :class:`MonteCarloSimulator`'s
-  trials into per-worker shards, runs each shard in its own process, and
-  merges the per-trial arrays back into one
-  :class:`~repro.simulation.runner.SimulationResult`;
+* ``MonteCarloSimulator.run(workers=N)`` and
+  ``FusedMonteCarloEngine.run(workers=N)`` split their trials into
+  per-worker shards (:func:`_run_sharded`), run each shard in its own
+  process, and merge the per-trial arrays back into one result;
 * :func:`parallel_map` is the generic ordered map behind
   ``sweep(..., workers=N)`` / ``grid_sweep(..., workers=N)``.
 
@@ -26,12 +26,9 @@ spawned child, so
   streams.  Only ``workers=1`` reproduces the legacy serial output
   byte-for-byte, because the serial path seeds one generator directly.
 
-Everything shipped to a worker must be picklable.  The simulator strips
-its (possibly closure-carrying) ``progress`` callback before pickling and
-reports progress from the parent as shards complete; deployment and
-target callables, however, must be module-level functions or picklable
-objects — a helpful :class:`~repro.errors.SimulationError` is raised
-otherwise.
+Everything shipped to a worker must be picklable: deployment and target
+callables must be module-level functions or picklable objects — a
+helpful :class:`~repro.errors.SimulationError` is raised otherwise.
 
 Crash resilience
 ----------------
@@ -58,18 +55,18 @@ One pool per process
 --------------------
 
 Every pooled call in a process — :func:`parallel_map` (and so the
-sweeps), :func:`run_simulator_parallel` and :func:`run_fused_parallel` —
-runs on one shared worker pool.  The first pooled call starts it and
-later calls reuse it, so a sweep of many grids forks its workers once
-instead of once per call.  The pool is discarded and the next call
-starts a new one only when a worker dies (``BrokenProcessPool``) or a
-call needs a different number of workers than the pool has.
+sweeps) and both engines' trial shards — runs on one shared worker
+pool.  The first pooled call starts it and later calls reuse it, so a
+sweep of many grids forks its workers once instead of once per call.
+The pool is discarded and the next call starts a new one only when a
+worker dies (``BrokenProcessPool``) or a call needs a different number
+of workers than the pool has.
 
 The pool is sized by the caller's ``workers``, not by its task count, so
 a short grid does not re-fork it.  A module lock lets one call use the
 pool at a time; a second thread's pooled call waits for it.
-``on_result`` callbacks (and so a simulator's ``progress``) run while
-the pool is held: a pooled call made from one raises
+``on_result`` callbacks (the sweeps' checkpoint writers) run while the
+pool is held: a pooled call made from one raises
 :class:`~repro.errors.SimulationError` instead of deadlocking.  A child
 made by ``os.fork()`` drops its inherited reference to the pool (an
 ``os.register_at_fork`` hook) and starts its own on first use.  At
@@ -113,8 +110,6 @@ __all__ = [
     "merge_fused_results",
     "merge_simulation_results",
     "parallel_map",
-    "run_fused_parallel",
-    "run_simulator_parallel",
     "spawn_seed_sequences",
     "split_trials",
 ]
@@ -336,7 +331,7 @@ def _execute_resilient(
     The engine behind the trial-shard runners and :func:`parallel_map`
     (see the module docstring's resilience contract).
     ``on_result(index, result)`` fires in completion order as tasks finish
-    — checkpoint writers and progress callbacks hang off it.
+    — checkpoint writers hang off it.
 
     Returns:
         Results in task order.
@@ -358,7 +353,7 @@ def _execute_resilient(
     if _pool_owner == threading.get_ident():
         raise SimulationError(
             "a pooled call cannot start inside another pooled call's "
-            "on_result or progress callback; the pool is in use"
+            "on_result callback; the pool is in use"
         )
     # Pickled here, before any pool starts, so an unpicklable task fails
     # at once; a task naming __main__ gets freshly forked workers.
@@ -456,69 +451,26 @@ def _execute_resilient(
     return results
 
 
-def _run_sharded(engine, workers: int, merge, progress=None):
-    """Shard ``engine``'s trials over processes and merge in shard order.
+def _run_sharded(engine, workers: int, merge):
+    """Run ``engine``'s trials across worker processes, merged in shard order.
 
-    The one shard loop behind :func:`run_simulator_parallel` and
-    :func:`run_fused_parallel`: shards follow :func:`split_trials`, shard
-    ``i`` draws from the ``i``-th :func:`spawn_seed_sequences` child, and
-    ``progress(done, total)`` (optional) fires in the parent as shards
-    complete.  Crashed shards are retried and replay the same seeds.
+    The shard loop behind ``MonteCarloSimulator.run`` and
+    ``FusedMonteCarloEngine.run`` at ``workers > 1``: shards follow
+    :func:`split_trials`, shard ``i`` draws from the ``i``-th
+    :func:`spawn_seed_sequences` child, and ``merge`` (one of
+    :func:`merge_simulation_results` / :func:`merge_fused_results`)
+    concatenates the shard results.  So the same ``(seed, workers)``
+    always reproduces the identical result, and worker crashes never
+    change it (retries replay the same seeds).  Fused grid rows stay
+    aligned across columns within every shard, so common-random-numbers
+    monotonicity survives the merge.
     """
     shards = split_trials(engine._trials, workers)
     seeds = spawn_seed_sequences(engine._seed, len(shards))
-    total = engine._trials
     if len(shards) == 1:
-        result = _run_shard(engine, shards[0], seeds[0])
-        if progress is not None:
-            progress(total, total)
-        return result
-    on_result = None
-    if progress is not None:
-        done_trials = [0]
-
-        def on_result(index: int, _result: Any) -> None:
-            done_trials[0] += shards[index]
-            progress(done_trials[0], total)
-
+        return _run_shard(engine, shards[0], seeds[0])
     tasks = [(engine, shard, seed) for shard, seed in zip(shards, seeds)]
-    return merge(
-        _execute_resilient(
-            _run_shard, tasks, workers=workers, on_result=on_result
-        )
-    )
-
-
-def run_simulator_parallel(simulator, workers: int):
-    """Run a :class:`MonteCarloSimulator`'s trials across worker processes.
-
-    Args:
-        simulator: the configured simulator (its ``trials``, ``seed``,
-            ``progress`` and all modelling options are honoured).
-        workers: process count; shards follow :func:`split_trials` and
-            seeds follow :func:`spawn_seed_sequences`.
-
-    Returns:
-        One merged :class:`SimulationResult` — shard order, hence output,
-        is deterministic for a given ``(seed, workers)``, and worker
-        crashes never change it (retries replay the same seeds).
-    """
-    return _run_sharded(
-        simulator, workers, merge_simulation_results, simulator._progress
-    )
-
-
-def run_fused_parallel(engine, workers: int):
-    """Run a :class:`FusedMonteCarloEngine`'s trials across processes.
-
-    The fused counterpart of :func:`run_simulator_parallel`, under the
-    identical reproducibility contract, so the same ``(seed, workers)``
-    always reproduces the identical
-    :class:`~repro.simulation.fused.FusedSweepResult`.  The per-trial
-    grid rows stay aligned across columns within every shard, so
-    common-random-numbers monotonicity survives the merge.
-    """
-    return _run_sharded(engine, workers, merge_fused_results)
+    return merge(_execute_resilient(_run_shard, tasks, workers=workers))
 
 
 def parallel_map(

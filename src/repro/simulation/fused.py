@@ -9,11 +9,13 @@ sensors and samples one target trajectory, and every smaller fleet size
 ``N`` is evaluated on the *first* ``N`` of those sensors — a prefix of an
 i.i.d. uniform deployment is itself an i.i.d. uniform deployment, so each
 column of the fused result is a valid Monte Carlo estimate at its ``N``.
-The per-trial report totals for all prefixes fall out of a single
-``cumsum`` over the per-sensor detection counts, and every threshold
-``k`` is answered from the same totals — so an entire ``num_sensors``
-× ``threshold`` grid costs one pass at ``N_max`` instead of ``P``
-independent runs.
+The pass is the plain :class:`~repro.simulation.runner.MonteCarloSimulator`
+trial loop at ``N_max`` — the same batches and blocks, the same draws —
+with one more reduction on top: the per-trial report totals for all
+prefixes fall out of a single ``cumsum`` over each block's per-sensor
+detection counts, and every threshold ``k`` is answered from the same
+totals.  So an entire ``num_sensors`` × ``threshold`` grid costs one pass
+at ``N_max`` instead of ``P`` independent runs.
 
 What common random numbers buy (and cost):
 
@@ -23,13 +25,11 @@ What common random numbers buy (and cost):
   fraction is monotone in ``N`` and in ``k`` *without* sampling noise
   between grid points; differences along the axis are estimated with
   far lower variance than independent runs give.
-* **A bitwise anchor** — at the ``N = N_max`` column the fused engine
-  consumes the generator in exactly the order
-  :class:`~repro.simulation.runner.MonteCarloSimulator` does (deploy →
-  waypoints → detections, same batch layout), so that column's per-trial
-  counts are bitwise identical to a plain simulator run with the same
-  ``(seed, batch_size)``.  Smaller-``N`` columns are *statistically*
-  exchangeable with independent runs, not bitwise equal to them.
+* **A bitwise anchor** — the ``N = N_max`` column reduces the very
+  blocks a plain simulator run reduces, so its per-trial counts are
+  bitwise identical to a plain run with the same ``(seed, batch_size)``.
+  Smaller-``N`` columns are *statistically* exchangeable with
+  independent runs, not bitwise equal to them.
 * **Correlated columns** — grid points share randomness, so the columns
   are not independent samples.  Per-point Wilson intervals remain valid
   marginally; joint tests across columns must account for the coupling.
@@ -58,17 +58,10 @@ import numpy as np
 from repro import obs
 from repro.core.scenario import Scenario
 from repro.errors import SimulationError
-from repro.parallel import _validate_workers, run_fused_parallel
+from repro.parallel import _run_sharded, _validate_workers, merge_fused_results
 from repro.simulation.runner import MonteCarloSimulator, SimulationResult
-from repro.simulation.sensing import sample_detections, segment_coverage
 
 __all__ = ["FusedMonteCarloEngine", "FusedSweepResult"]
-
-#: Trials per coverage/detection sub-block inside one batch.  A whole
-#: 512-trial batch at N = 240, M = 20 needs ~20 MB of detection draws;
-#: 64-trial blocks need ~2.5 MB, and long-lived pool workers keep their
-#: high-water mark.
-_SUB_BLOCK = 64
 
 
 def _int_axis(values, name: str, minimum: int) -> Tuple[int, ...]:
@@ -174,6 +167,10 @@ class FusedSweepResult:
 class FusedMonteCarloEngine:
     """One Monte Carlo pass answering a whole ``(N, k)`` grid.
 
+    The pass runs the trial loop of a plain :class:`MonteCarloSimulator`
+    configured at ``N_max`` and reduces each block of trials to prefix
+    totals over the deployment, one column per requested ``N``.
+
     Args:
         scenario: template scenario; supplies the geometry, physics, and
             the default axes when ``num_sensors`` / ``thresholds`` are
@@ -193,9 +190,11 @@ class FusedMonteCarloEngine:
             which is exactly the common-random-numbers design.
         boundary: ``'torus'`` | ``'clip'`` | ``'interior'``, as on the
             plain simulator.
-        batch_size: trials per vectorised block.
-        workers: default process count for :meth:`run` (sharded over
-            trials via :func:`repro.parallel.run_fused_parallel`).
+        batch_size: trials per vectorised batch, as on the plain
+            simulator.
+        workers: default process count for :meth:`run` (trials are
+            sharded as the plain simulator's are; see
+            :mod:`repro.parallel`).
 
     The fused path supports only the paper's validation surface (uniform
     deployment, no faults / duty cycling / false alarms / communication
@@ -235,9 +234,9 @@ class FusedMonteCarloEngine:
         self._batch_size = batch_size
         self._max_sensors = max(self._num_sensors)
         # The whole modelling surface is delegated to a plain simulator
-        # configured at N_max: its validation, deployment and waypoint
-        # sampling are reused verbatim, which is what makes the N_max
-        # column of the fused result bitwise equal to a plain run.
+        # configured at N_max: its validation and its trial loop are
+        # reused verbatim, which is what makes the N_max column of the
+        # fused result bitwise equal to a plain run.
         self._simulator = MonteCarloSimulator(
             scenario.replace(num_sensors=self._max_sensors),
             trials=trials,
@@ -294,7 +293,7 @@ class FusedMonteCarloEngine:
             )
         if workers > 1:
             with ob.span("sim.fused_run", mode="parallel", workers=workers):
-                return run_fused_parallel(self, workers)
+                return _run_sharded(self, workers, merge_fused_results)
         with ob.span("sim.fused_run", mode="serial"):
             return self._run_serial(
                 self._trials, np.random.default_rng(self._seed)
@@ -303,45 +302,23 @@ class FusedMonteCarloEngine:
     def _run_serial(
         self, trials: int, rng: np.random.Generator
     ) -> FusedSweepResult:
-        """The fused trial loop over an explicit generator (one shard)."""
-        scenario = self._simulator.scenario  # template at N_max
-        simulator = self._simulator
+        """The fused trial loop over an explicit generator (one shard).
+
+        The plain simulator's own block loop at ``N_max``, reduced to
+        prefix totals instead of one total per trial.
+        """
         prefix_index = np.asarray(self._num_sensors, dtype=int) - 1
         points = len(self._num_sensors)
         report_counts = np.empty((trials, points), dtype=np.int64)
         node_counts = np.empty((trials, points), dtype=np.int64)
-        done = 0
-        while done < trials:
-            batch = min(self._batch_size, trials - done)
-            # Same generator consumption order as the plain runner:
-            # deploy, then waypoints, then detections.
-            sensors = simulator._deploy_batch(batch, rng)
-            waypoints = simulator._sample_waypoints(batch, rng)
-            # Coverage and detections run over sub-blocks of the batch so
-            # the (trials, N, M) temporaries stay small.  The detection
-            # draws are taken in trial order, so the generator yields the
-            # same numbers as one whole-batch draw.
-            for start in range(0, batch, _SUB_BLOCK):
-                stop = min(start + _SUB_BLOCK, batch)
-                coverage = segment_coverage(
-                    sensors[start:stop],
-                    waypoints[start:stop],
-                    scenario.sensing_range,
-                    field=scenario.field,
-                    wrap=self._boundary == "torus",
-                )
-                detected = sample_detections(
-                    coverage, scenario.detect_prob, rng
-                )
-                # (b, N_max) running totals over the deployment prefix:
-                # entry [:, n - 1] is exactly what a run at fleet size n
-                # would have counted from these draws.
-                prefix_reports = np.cumsum(detected.sum(axis=2), axis=1)
-                prefix_nodes = np.cumsum(detected.any(axis=2), axis=1)
-                rows = slice(done + start, done + stop)
-                report_counts[rows] = prefix_reports[:, prefix_index]
-                node_counts[rows] = prefix_nodes[:, prefix_index]
-            done += batch
+        for rows, detected, _, _ in self._simulator._blocks(trials, rng):
+            # (b, N_max) running totals over the deployment prefix: entry
+            # [:, n - 1] is exactly what a run at fleet size n would have
+            # counted from these draws.
+            prefix_reports = np.cumsum(detected.sum(axis=2), axis=1)
+            prefix_nodes = np.cumsum(detected.any(axis=2), axis=1)
+            report_counts[rows] = prefix_reports[:, prefix_index]
+            node_counts[rows] = prefix_nodes[:, prefix_index]
         return FusedSweepResult(
             scenario=self._scenario,
             num_sensors=self._num_sensors,

@@ -28,9 +28,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.scenario import Scenario
-from repro.errors import SimulationError
+from repro.errors import SimulationError, require_count
 from repro.faults import FaultModel
-from repro.parallel import _validate_workers, run_simulator_parallel
+from repro.parallel import (
+    _run_sharded,
+    _validate_workers,
+    merge_simulation_results,
+)
 from repro.simulation.sensing import (
     apply_availability,
     sample_detections,
@@ -42,6 +46,14 @@ from repro.simulation.targets import StraightLineTarget
 __all__ = ["MonteCarloSimulator", "SimulationResult"]
 
 _BOUNDARY_MODES = ("torus", "clip", "interior")
+
+#: Coverage cells (trials x sensors x periods) per coverage/detection
+#: block.  A batch's coverage and detections run over blocks of
+#: ``max(1, _BLOCK_CELLS // (N * M))`` trials: 64 trials at N = 240,
+#: M = 20, whose detection draws take ~2.5 MB where a whole 512-trial
+#: batch takes ~20 MB.  Long-lived pool workers keep their high-water
+#: mark, so the bound matters beyond one run.
+_BLOCK_CELLS = 64 * 240 * 20
 
 
 def _deployment_is_batched(deployment) -> bool:
@@ -298,7 +310,9 @@ class MonteCarloSimulator:
             target at the scenario's speed.
         boundary: ``'torus'`` | ``'clip'`` | ``'interior'`` (see module
             docstring).
-        batch_size: trials processed per vectorised block.
+        batch_size: trials deployed per vectorised batch; coverage and
+            detections then run over smaller trial blocks of the batch
+            (same draws, smaller temporaries).
         false_alarm_prob: per-sensor per-period false report probability;
             0 reproduces the paper's validation (no false alarms).
         deployment: placement strategy — a callable
@@ -336,10 +350,6 @@ class MonteCarloSimulator:
             byte-identical to the fault-free path.  Stuck-reporting
             (Byzantine) sensors' reports count toward ``report_counts``
             and are tallied in ``false_report_counts``.
-        progress: optional callback ``(completed_trials, total_trials)``
-            invoked after every batch — for progress bars on long runs.
-            In parallel mode it is invoked from the parent process as each
-            worker's shard completes.
         workers: default process count for :meth:`run`.  ``1`` (default)
             is the legacy serial path, byte-identical to previous
             releases for a given seed; ``N > 1`` shards the trials across
@@ -367,12 +377,13 @@ class MonteCarloSimulator:
         duty_cycle: float = 1.0,
         sensing_ranges: Optional[np.ndarray] = None,
         faults: Optional[FaultModel] = None,
-        progress=None,
         workers: int = 1,
     ):
+        require_count("trials", trials, SimulationError)
         if trials < 1:
             raise SimulationError(f"trials must be >= 1, got {trials}")
         self._workers = _validate_workers(workers)
+        require_count("batch_size", batch_size, SimulationError)
         if batch_size < 1:
             raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
         if boundary not in _BOUNDARY_MODES:
@@ -420,9 +431,6 @@ class MonteCarloSimulator:
         # A zero-rate model draws no randomness anywhere, so treating it
         # as "no faults" keeps the fault-free path literally unchanged.
         self._faults = None if faults is None or faults.is_null else faults
-        if progress is not None and not callable(progress):
-            raise SimulationError("progress must be callable or None")
-        self._progress = progress
         self._deployment = deployment
         self._collect_period_counts = collect_period_counts
         self._communication_range = communication_range
@@ -487,22 +495,14 @@ class MonteCarloSimulator:
                 )
         return np.concatenate(collected, axis=0)
 
-    def __getstate__(self) -> dict:
-        # Progress callbacks are often closures; they are parent-side state
-        # (parallel shards report progress from the parent), so drop them
-        # instead of failing the pickle.
-        state = self.__dict__.copy()
-        state["_progress"] = None
-        return state
-
     def run(self, workers: Optional[int] = None) -> SimulationResult:
         """Execute all trials and collect per-trial report statistics.
 
         Args:
             workers: overrides the constructor's ``workers``.  ``1`` runs
                 the legacy serial path (byte-identical for a given seed);
-                ``N > 1`` fans trial shards out to ``N`` processes via
-                :func:`repro.parallel.run_simulator_parallel`.
+                ``N > 1`` fans trial shards out to ``N`` processes (see
+                :mod:`repro.parallel` for the reproducibility contract).
         """
         workers = _validate_workers(
             self._workers if workers is None else workers
@@ -517,7 +517,7 @@ class MonteCarloSimulator:
             )
         if workers > 1:
             with ob.span("sim.run", mode="parallel", workers=workers):
-                return run_simulator_parallel(self, workers)
+                return _run_sharded(self, workers, merge_simulation_results)
         with ob.span("sim.run", mode="serial"):
             return self._run_serial(
                 self._trials, np.random.default_rng(self._seed)
@@ -537,80 +537,8 @@ class MonteCarloSimulator:
             if self._collect_period_counts
             else None
         )
-
-        # Observability: when instrumentation is active, each vectorised
-        # batch reports its trial throughput.  Disabled (the default) the
-        # single `measure` check per batch is the entire cost — the trial
-        # arithmetic and the RNG stream are untouched either way
-        # (fingerprint-pinned by tests/unit/test_obs.py).
-        ob = obs.current()
-        measure = ob.enabled
-        done = 0
-        while done < trials:
-            if measure:
-                batch_start = time.perf_counter()
-            batch = min(self._batch_size, trials - done)
-            sensors = self._deploy_batch(batch, rng)
-            waypoints = self._sample_waypoints(batch, rng)
-            coverage = segment_coverage(
-                sensors,
-                waypoints,
-                self._sensing_ranges
-                if self._sensing_ranges is not None
-                else scenario.sensing_range,
-                field=scenario.field,
-                wrap=self._boundary == "torus",
-            )
-            awake = None
-            if self._duty_cycle < 1.0:
-                awake = rng.random(coverage.shape) < self._duty_cycle
-                coverage = apply_availability(coverage, awake)
-            masks = None
-            if self._faults is not None and self._faults.has_node_faults:
-                masks = self._faults.sample_node_masks(
-                    batch, scenario.num_sensors, scenario.window, rng
-                )
-                if masks.available is not None:
-                    coverage = apply_availability(coverage, masks.available)
-            detected = sample_detections(coverage, scenario.detect_prob, rng)
-            reachable = None
-            if self._communication_range is not None:
-                reachable = self._connected_mask(sensors)
-                detected &= reachable[:, :, None]
-            spurious = None
-            if masks is not None and masks.byzantine is not None:
-                # Stuck-reporting sensors transmit every period they are
-                # alive (and routed); all their reports are spurious.
-                byz_reports = np.broadcast_to(
-                    masks.byzantine[:, :, None], detected.shape
-                ).copy()
-                if masks.alive is not None:
-                    byz_reports &= masks.alive
-                if reachable is not None:
-                    byz_reports &= reachable[:, :, None]
-                detected |= byz_reports
-                spurious = byz_reports
-            if self._false_alarm_prob > 0.0:
-                false_hits = rng.random(detected.shape) < self._false_alarm_prob
-                false_hits &= ~detected
-                if reachable is not None:
-                    # Undeliverable false reports never reach the base either.
-                    false_hits &= reachable[:, :, None]
-                if awake is not None:
-                    # Sleeping sensors cannot false alarm.
-                    false_hits &= awake
-                if masks is not None and masks.available is not None:
-                    # Neither can dead, dropped-out, or stuck sensors.
-                    false_hits &= masks.available
-                detected |= false_hits
-                spurious = (
-                    false_hits if spurious is None else spurious | false_hits
-                )
-            late = spurious_late = None
-            if self._faults is not None and self._faults.has_delivery_faults:
-                detected, late, spurious, spurious_late = (
-                    self._faults.apply_delivery(detected, spurious, rng)
-                )
+        blocks = self._blocks(trials, rng, measure=obs.current().enabled)
+        for rows, detected, late, block_false in blocks:
             per_period = detected.sum(axis=1)
             delivered_any = detected
             if late is not None:
@@ -618,25 +546,78 @@ class MonteCarloSimulator:
                 # and a late report can arrive in the same (sensor, period).
                 per_period = per_period + late.sum(axis=1)
                 delivered_any = detected | late
-            if spurious is not None:
-                total_spurious = spurious.sum(axis=(1, 2))
-                if spurious_late is not None:
-                    total_spurious = total_spurious + spurious_late.sum(
-                        axis=(1, 2)
-                    )
-                false_counts[done : done + batch] = total_spurious
-            report_counts[done : done + batch] = per_period.sum(axis=1)
-            node_counts[done : done + batch] = (
-                delivered_any.any(axis=2).sum(axis=1)
-            )
-            # First period at which the running report total reaches k.
+            if block_false is not None:
+                false_counts[rows] = block_false
+            report_counts[rows] = per_period.sum(axis=1)
+            node_counts[rows] = delivered_any.any(axis=2).sum(axis=1)
             if period_counts is not None:
-                period_counts[done : done + batch] = per_period
+                period_counts[rows] = per_period
+            # First period at which the running report total reaches k.
             cumulative = np.cumsum(per_period, axis=1)
             crossed = cumulative >= scenario.threshold
             first = np.argmax(crossed, axis=1) + 1
             first[~crossed.any(axis=1)] = 0
-            detection_periods[done : done + batch] = first
+            detection_periods[rows] = first
+
+        return SimulationResult(
+            scenario=scenario,
+            report_counts=report_counts,
+            node_counts=node_counts,
+            false_report_counts=false_counts,
+            detection_periods=detection_periods,
+            period_counts=period_counts,
+        )
+
+    def _blocks(
+        self, trials: int, rng: np.random.Generator, measure: bool = False
+    ):
+        """The trial loop: ``(rows, detected, late, false_counts)`` per block.
+
+        Each batch is deployed and given its waypoints whole; its
+        coverage and detections then run over blocks of
+        ``max(1, _BLOCK_CELLS // (N * M))`` trials.  The detection draws
+        come in trial order, so ``rng`` yields the same numbers as for
+        one whole-batch draw.  A model that draws between the waypoints
+        and the end of a block (duty cycling, faults, false alarms) would
+        interleave its draws with the detections', so it runs one block
+        per batch.
+
+        ``rows`` is the slice of the run's trials a block covers,
+        ``detected`` its ``(b, N, M)`` delivered on-time reports, ``late``
+        its delayed reports (``None`` without delivery faults), and
+        ``false_counts`` its per-trial spurious report counts (``None``
+        when the model injects none).
+
+        Observability: with ``measure``, each batch reports its trial
+        throughput (``sim.trials``, ``sim.batches``, ``sim.batch``) once
+        its last block is consumed.  Either way the trial arithmetic and
+        the RNG stream are the same (fingerprint-pinned by
+        tests/unit/test_obs.py).
+        """
+        scenario = self._scenario
+        if (
+            self._duty_cycle < 1.0
+            or self._faults is not None
+            or self._false_alarm_prob > 0.0
+        ):
+            block = self._batch_size
+        else:
+            block = max(
+                1, _BLOCK_CELLS // (scenario.num_sensors * scenario.window)
+            )
+        ob = obs.current()
+        done = 0
+        while done < trials:
+            if measure:
+                batch_start = time.perf_counter()
+            batch = min(self._batch_size, trials - done)
+            sensors = self._deploy_batch(batch, rng)
+            waypoints = self._sample_waypoints(batch, rng)
+            for start in range(0, batch, block):
+                stop = min(start + block, batch)
+                yield (slice(done + start, done + stop),) + self._block(
+                    sensors[start:stop], waypoints[start:stop], rng
+                )
             done += batch
             if measure:
                 seconds = time.perf_counter() - batch_start
@@ -649,17 +630,75 @@ class MonteCarloSimulator:
                     seconds=seconds,
                     trials_per_sec=(batch / seconds) if seconds > 0 else None,
                 )
-            if self._progress is not None:
-                self._progress(done, trials)
 
-        return SimulationResult(
-            scenario=scenario,
-            report_counts=report_counts,
-            node_counts=node_counts,
-            false_report_counts=false_counts,
-            detection_periods=detection_periods,
-            period_counts=period_counts,
+    def _block(
+        self, sensors: np.ndarray, waypoints: np.ndarray, rng: np.random.Generator
+    ) -> tuple:
+        """``(detected, late, false_counts)`` for one block of trials."""
+        scenario = self._scenario
+        coverage = segment_coverage(
+            sensors,
+            waypoints,
+            self._sensing_ranges
+            if self._sensing_ranges is not None
+            else scenario.sensing_range,
+            field=scenario.field,
+            wrap=self._boundary == "torus",
         )
+        awake = None
+        if self._duty_cycle < 1.0:
+            awake = rng.random(coverage.shape) < self._duty_cycle
+            coverage = apply_availability(coverage, awake)
+        masks = None
+        if self._faults is not None and self._faults.has_node_faults:
+            masks = self._faults.sample_node_masks(
+                sensors.shape[0], scenario.num_sensors, scenario.window, rng
+            )
+            if masks.available is not None:
+                coverage = apply_availability(coverage, masks.available)
+        detected = sample_detections(coverage, scenario.detect_prob, rng)
+        reachable = None
+        if self._communication_range is not None:
+            reachable = self._connected_mask(sensors)
+            detected &= reachable[:, :, None]
+        spurious = None
+        if masks is not None and masks.byzantine is not None:
+            # Stuck-reporting sensors transmit every period they are
+            # alive (and routed); all their reports are spurious.
+            byz_reports = np.broadcast_to(
+                masks.byzantine[:, :, None], detected.shape
+            ).copy()
+            if masks.alive is not None:
+                byz_reports &= masks.alive
+            if reachable is not None:
+                byz_reports &= reachable[:, :, None]
+            detected |= byz_reports
+            spurious = byz_reports
+        if self._false_alarm_prob > 0.0:
+            false_hits = rng.random(detected.shape) < self._false_alarm_prob
+            false_hits &= ~detected
+            if reachable is not None:
+                # Undeliverable false reports never reach the base either.
+                false_hits &= reachable[:, :, None]
+            if awake is not None:
+                # Sleeping sensors cannot false alarm.
+                false_hits &= awake
+            if masks is not None and masks.available is not None:
+                # Neither can dead, dropped-out, or stuck sensors.
+                false_hits &= masks.available
+            detected |= false_hits
+            spurious = false_hits if spurious is None else spurious | false_hits
+        late = spurious_late = None
+        if self._faults is not None and self._faults.has_delivery_faults:
+            detected, late, spurious, spurious_late = (
+                self._faults.apply_delivery(detected, spurious, rng)
+            )
+        false_counts = None
+        if spurious is not None:
+            false_counts = spurious.sum(axis=(1, 2))
+            if spurious_late is not None:
+                false_counts = false_counts + spurious_late.sum(axis=(1, 2))
+        return detected, late, false_counts
 
     def _connected_mask(self, sensors: np.ndarray) -> np.ndarray:
         """Which sensors have a multi-hop route to the base station.

@@ -1,6 +1,6 @@
 """sha256 digests of sweep rows and responses, to compare two checkouts.
 
-Prints five digests:
+Prints six digests:
 
 * ``grids``: every batched N x k grid in e2ebench offline-sweep's job list
   for ``--seed``/``--seconds``, through ``analytical_grid_sweep``;
@@ -19,7 +19,10 @@ Prints five digests:
 * ``simulate``: ``/simulate`` responses over a ``num_sensors`` axis and a
   ``threshold`` axis for each fused job's geometry and seed, through
   ``canonicalize_simulate`` and ``compute_simulate``, hashed as the
-  ``json_body`` bytes the service sends.
+  ``json_body`` bytes the service sends;
+* ``runner``: every per-trial array of ``MonteCarloSimulator`` runs at
+  ONR scale, one per branch of its trial loop (see ``RUNNER_CASES``),
+  seeded from ``--seed`` alone.
 
 The other digests cover ``json.dumps`` of every row list or response, in
 job order, so they pin key order and float text as well as values.  Run it
@@ -129,6 +132,67 @@ def simulate_digest(seed: int, seconds: float):
     return digest.hexdigest()
 
 
+def runner_cases(seed: int):
+    """``(name, scenario, options, workers)`` for every runner branch."""
+    import functools
+
+    import numpy as np
+
+    from repro import onr_scenario
+    from repro.deployment.strategies import deploy_grid_batched
+    from repro.faults import FaultModel
+    from repro.simulation.targets import RandomWalkTarget
+
+    onr = onr_scenario(num_sensors=240, speed=10.0)
+    ranges = np.random.default_rng(seed).uniform(600.0, 1200.0, 240)
+    node_faults = FaultModel(death_rate=0.02, dropout_rate=0.1,
+                             stuck_silent_frac=0.05, stuck_report_frac=0.02)
+    delivery_faults = FaultModel(delivery_loss_prob=0.1, delay_prob=0.2,
+                                 delay_periods=2)
+    return [
+        ("torus", onr, {}, 1),
+        ("clip", onr, {"boundary": "clip"}, 1),
+        ("interior", onr, {"boundary": "interior"}, 1),
+        ("small-fleet", onr.replace(num_sensors=60), {}, 1),
+        ("random-walk", onr, {"target": RandomWalkTarget(10.0, 0.3)}, 1),
+        ("sensing-ranges", onr, {"sensing_ranges": ranges}, 1),
+        ("grid-jitter", onr, {"deployment": functools.partial(
+            deploy_grid_batched, jitter=500.0)}, 1),
+        ("duty-cycle", onr, {"duty_cycle": 0.6}, 1),
+        ("node-faults", onr, {"faults": node_faults}, 1),
+        ("delivery-faults", onr, {"faults": delivery_faults}, 1),
+        ("false-alarms", onr, {"false_alarm_prob": 0.001}, 1),
+        ("communication-range", onr, {"communication_range": 3000.0}, 1),
+        ("period-counts", onr, {"collect_period_counts": True}, 1),
+        ("workers-2", onr, {}, 2),
+    ]
+
+
+#: Trials per runner case: one whole batch of 512 and a partial one, so
+#: every case crosses a batch edge and, where the runner blocks, the
+#: block edges inside both batches.
+RUNNER_TRIALS = 700
+
+
+def runner_digest(seed: int):
+    """sha256 over every per-trial array of each runner case, in order."""
+    from repro.simulation.runner import MonteCarloSimulator
+
+    digest = hashlib.sha256()
+    for index, (name, scenario, options, workers) in enumerate(
+            runner_cases(seed)):
+        result = MonteCarloSimulator(
+            scenario, trials=RUNNER_TRIALS, seed=seed * 100 + index, **options
+        ).run(workers=workers)
+        digest.update(name.encode("utf-8"))
+        for array in (result.report_counts, result.node_counts,
+                      result.false_report_counts, result.detection_periods,
+                      result.period_counts):
+            if array is not None:
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def digests(seed: int, seconds: float):
     from repro.experiments.sweeps import analytical_grid_sweep
     from repro.service.handlers import canonicalize_sweep, compute_sweep
@@ -156,6 +220,7 @@ def main() -> None:
     fused_count, fused = fused_digest(args.seed, args.seconds)
     per_point_count, per_point = per_point_digest(args.seed, args.seconds)
     simulate = simulate_digest(args.seed, args.seconds)
+    runner = runner_digest(args.seed)
     print(f"batched jobs: {count}")
     print(f"fused jobs: {fused_count}")
     print(f"per-point jobs: {per_point_count}")
@@ -164,6 +229,7 @@ def main() -> None:
     print(f"fused:   {fused}")
     print(f"per-point: {per_point}")
     print(f"simulate:  {simulate}")
+    print(f"runner:    {runner}")
 
 
 if __name__ == "__main__":

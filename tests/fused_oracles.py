@@ -1,9 +1,10 @@
 """Test oracle for :meth:`repro.simulation.fused.FusedMonteCarloEngine._run_serial`.
 
 ``whole_batch_fused_counts`` is the fused trial loop with coverage and
-detections evaluated over each whole batch at once.  The engine runs them
-over fixed trial sub-blocks to keep its temporaries small, and must stay
-bitwise equal to this loop for every batch size and trial count.
+detections evaluated over each whole batch at once.  The engine reduces
+the plain runner's trial blocks, which keep its temporaries small, and
+must stay bitwise equal to this loop for every batch size and trial
+count.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ dense-grid scan's (argmin-identical integers, byte-identical canonical
 frontier rows), while its ledger records strictly fewer oracle
 evaluations than the dense scan charges; in aggregate the matrix must
 stay at or below 25% of the dense evaluation count (the acceptance
-ratio ``bench_regression.py`` also gates on the committed PERF-ADAPT
-record).
+ratio ``benchmarks/bench_adaptive.py`` asserts before it writes the
+PERF-ADAPT record).
 
 Dense references are computed once per scenario on the in-process
 engine: dense answers are evaluator-independent by the batch-invariance

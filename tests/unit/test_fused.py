@@ -162,6 +162,12 @@ class TestFusedEngine:
             FusedMonteCarloEngine(small, workers=0)
         with pytest.raises(SimulationError, match="workers"):
             FusedMonteCarloEngine(small, trials=TRIALS).run(workers=1.5)
+        for trials in (2.5, True, "10", float("nan")):
+            with pytest.raises(SimulationError, match="trials"):
+                FusedMonteCarloEngine(small, trials=trials)
+        for batch_size in (2.5, True):
+            with pytest.raises(SimulationError, match="batch_size"):
+                FusedMonteCarloEngine(small, batch_size=batch_size)
 
 
 class TestFusedSweepResult:

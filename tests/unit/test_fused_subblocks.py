@@ -1,11 +1,14 @@
-"""The fused loop's trial sub-blocks: bitwise exact and small.
+"""The fused loop's trial blocks: bitwise exact and small.
 
-:meth:`FusedMonteCarloEngine._run_serial` evaluates coverage and
-detections over fixed sub-blocks of each batch.  These tests pin that it
-equals the whole-batch loop of :mod:`tests.fused_oracles` bit for bit,
-across batch sizes around the sub-block size and trial counts that are
-not multiples of it, and that one ONR-scale batch stays well below the
-whole-batch loop's allocation peak.
+:meth:`FusedMonteCarloEngine._run_serial` reduces the plain runner's
+blocks, which evaluate coverage and detections over trial blocks of each
+batch.  These tests pin that it equals the whole-batch loop of
+:mod:`tests.fused_oracles` bit for bit, across batch sizes around the
+block size and trial counts that are not multiples of it, and that one
+ONR-scale batch stays well below the whole-batch loop's allocation peak.
+At the real block budget ``small`` runs one block per batch, so the
+``small`` cases patch it to ``BLOCK``-trial blocks; the ONR cases run
+the real 64-trial blocks.
 """
 
 import tracemalloc
@@ -15,10 +18,16 @@ import pytest
 
 from repro.experiments.presets import onr_scenario
 from repro.simulation import FusedMonteCarloEngine
-from repro.simulation.fused import _SUB_BLOCK
 from tests.fused_oracles import whole_batch_fused_counts
+from tests.runner_oracles import set_block
 
 SEED = 20
+BLOCK = 64
+
+
+@pytest.fixture
+def small_blocks(monkeypatch, small):
+    set_block(monkeypatch, small, BLOCK)
 
 
 def _engine(scenario, batch_size, **options):
@@ -46,17 +55,19 @@ def _assert_bitwise(engine, trials):
 
 class TestSubBlockExactness:
     @pytest.mark.parametrize(
-        "batch_size", [1, _SUB_BLOCK - 1, _SUB_BLOCK, _SUB_BLOCK + 1, 512]
+        "batch_size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 512]
     )
     @pytest.mark.parametrize("trials", [1, 100, 200, 517])
-    def test_bitwise_equal_to_whole_batch_loop(self, small, batch_size, trials):
+    def test_bitwise_equal_to_whole_batch_loop(
+        self, small, small_blocks, batch_size, trials
+    ):
         _assert_bitwise(_engine(small, batch_size), trials)
 
     @pytest.mark.parametrize("boundary", ["torus", "clip", "interior"])
-    def test_every_boundary_mode(self, small, boundary):
+    def test_every_boundary_mode(self, small, small_blocks, boundary):
         _assert_bitwise(_engine(small, 512, boundary=boundary), 300)
 
-    def test_certain_detection_draws_nothing(self, small):
+    def test_certain_detection_draws_nothing(self, small, small_blocks):
         _assert_bitwise(_engine(small.replace(detect_prob=1.0), 130), 300)
 
     def test_onr_scale(self):

@@ -21,7 +21,6 @@ from repro.parallel import (
     available_workers,
     merge_simulation_results,
     parallel_map,
-    run_simulator_parallel,
     spawn_seed_sequences,
     split_trials,
 )
@@ -177,18 +176,6 @@ class TestParallelRun:
         parallel = MonteCarloSimulator(small, trials=2_000, seed=3).run(workers=2)
         low, high = serial.confidence_interval(confidence=0.999)
         assert low <= parallel.detection_probability <= high
-
-    def test_progress_reported_from_parent(self, small):
-        calls = []
-        simulator = MonteCarloSimulator(
-            small,
-            trials=60,
-            seed=1,
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        run_simulator_parallel(simulator, workers=2)
-        assert calls[-1] == (60, 60)
-        assert [done for done, _ in calls] == sorted(done for done, _ in calls)
 
     def test_unpicklable_deployment_raises_helpful_error(self, small):
         simulator = MonteCarloSimulator(

@@ -334,6 +334,12 @@ class TestMonteCarloSimulator:
             MonteCarloSimulator(small, trials=0)
         with pytest.raises(SimulationError):
             MonteCarloSimulator(small, batch_size=0)
+        for trials in (2.5, True, "10", float("nan")):
+            with pytest.raises(SimulationError, match="trials"):
+                MonteCarloSimulator(small, trials=trials)
+        for batch_size in (2.5, True):
+            with pytest.raises(SimulationError, match="batch_size"):
+                MonteCarloSimulator(small, batch_size=batch_size)
         with pytest.raises(SimulationError):
             MonteCarloSimulator(small, boundary="reflect")
         with pytest.raises(SimulationError):
@@ -472,34 +478,6 @@ class TestCommunicationLoss:
         ).run()
         assert result.report_counts.sum() == 0
         assert result.false_report_counts.sum() == 0
-
-
-class TestProgressCallback:
-    def test_progress_reports_every_batch(self, small):
-        calls = []
-        MonteCarloSimulator(
-            small,
-            trials=300,
-            seed=60,
-            batch_size=100,
-            progress=lambda done, total: calls.append((done, total)),
-        ).run()
-        assert calls == [(100, 300), (200, 300), (300, 300)]
-
-    def test_uneven_final_batch(self, small):
-        calls = []
-        MonteCarloSimulator(
-            small,
-            trials=250,
-            seed=61,
-            batch_size=100,
-            progress=lambda done, total: calls.append(done),
-        ).run()
-        assert calls == [100, 200, 250]
-
-    def test_non_callable_rejected(self, small):
-        with pytest.raises(SimulationError):
-            MonteCarloSimulator(small, progress="loud")
 
 
 class TestSummary:
